@@ -50,10 +50,12 @@ let parse_arch s =
       ^ String.concat ", " (List.map Config.name Config.all)
       ^ ")")
 
-let parse_engine = function
-  | "decoded" -> Ok Engine.Decoded
-  | "threaded" -> Ok Engine.Threaded
-  | e -> Error ("unknown engine " ^ e ^ " (decoded|threaded)")
+let parse_engine e =
+  match Engine.of_string e with
+  | Some g -> Ok g
+  | None ->
+    let names = String.concat "|" (List.map Engine.name Engine.all) in
+    Error ("unknown engine " ^ e ^ " (" ^ names ^ ")")
 
 let parse_ic = function
   | "ic" -> Ok true

@@ -142,9 +142,9 @@ let tier =
 
 let engine =
   Arg.(value & opt string (Engine.name Engine.default) & info [ "engine"; "e" ] ~docv:"ENGINE"
-    ~doc:"Execution engine for optimized tiers: decoded (reference) or threaded \
-      (closure-threaded, default).  Simulated metrics are identical; only host wall-clock \
-      differs.")
+    ~doc:"Engine accounting mode for optimized tiers: decoded (per-instruction, the \
+      reference) or threaded (segment-batched, default).  Both run the same compiled \
+      closures; simulated metrics are identical, only host wall-clock differs.")
 
 let stats = Arg.(value & flag & info [ "stats"; "s" ] ~doc:"Print execution statistics.")
 let disasm = Arg.(value & flag & info [ "disasm" ] ~doc:"Print bytecode disassembly.")

@@ -1,15 +1,17 @@
-(** Execution-engine selection.
+(** Execution-engine accounting mode.
 
-    Both engines run the same pre-decoded LIR against the same [Machine]
-    substrate and are required to produce bit-identical results, heap
-    contents and [Counters.t] — the fuzzer's engine axis and the
-    engine-equivalence test suite enforce it.
+    There is one engine ([Threaded.exec_func]): every instruction's
+    semantics is compiled once into a chain of OCaml closures.  The mode
+    selects how that chain charges fuel, the transaction watchdog and the
+    instruction/cycle counters.  Both modes must produce bit-identical
+    results, heap contents and [Counters.t] — the fuzzer's engine axis and
+    the engine-equivalence test suite enforce it.
 
-    - [Decoded]: the reference interpreter — one [match] over [Lir.kind]
-      per instruction ([Decoded.exec_func]).
-    - [Threaded]: the closure-threaded compiler — each block body is
-      compiled once into a chain of OCaml closures with superinstruction
-      fusion ([Threaded.exec_func]); the default. *)
+    - [Decoded]: per-instruction accounting, the reference — every
+      instruction burns, ticks and charges on its own, before it runs.
+    - [Threaded]: segment-batched accounting — straight-line runs burn,
+      tick and charge once per segment, with exact reconciliation on an
+      early exit; the default. *)
 
 type kind = Decoded | Threaded
 

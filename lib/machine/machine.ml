@@ -1,10 +1,10 @@
-(** The engine-agnostic substrate of the abstract machine that executes
+(** The shared substrate of the abstract machine that executes
     LIR — our stand-in for the x86-64 core running DFG/FTL-generated code.
 
-    Execution itself lives in the engines ([Decoded], the reference
-    interpreter over pre-decoded LIR, and [Threaded], the closure-threaded
-    compiler — see [Engine] for selection).  This module owns everything
-    both engines share, which is exactly the simulated-metric contract:
+    Execution itself lives in [Threaded], which compiles each function into
+    closures under one of two accounting modes (per-instruction or
+    segment-batched — see [Engine] for selection).  This module owns the
+    rest of the simulated-metric contract:
     - counting dynamic instructions, classified NoFTL / NoTM / TMUnopt /
       TMOpt exactly as the paper's Figures 8/9 do (TMOpt = transaction-aware
       code inside its own transaction; TMUnopt = a callee executing inside
@@ -18,12 +18,12 @@
     - performing OSR exits: a failing Deopt check materializes its stack map
       into a Baseline frame and the rest of the function runs there.
 
-    Whatever the engine, the machine executes the pre-decoded form of each
+    In either mode, the machine executes the pre-decoded form of each
     compiled function ([Nomap_lir.Decode]): per-block instruction arrays
     instead of id lists, phi inputs resolved to per-edge copy tables, call
     arguments as arrays, and per-instruction costs precomputed — none of
     which changes any simulated metric (guarded by the counter-determinism
-    test, and by the fuzzer's engine axis across decoded × threaded). *)
+    test, and by the fuzzer's engine axis across both accounting modes). *)
 
 module Value = Nomap_runtime.Value
 module Heap = Nomap_runtime.Heap
@@ -100,29 +100,10 @@ let create_env ~instance ~counters ~htm_mode ~sof_enabled ?(capacity_scale = 1)
 let[@inline] in_region env =
   match env.tx with Some _ -> true | None -> env.ghost_depth > 0
 
-let category env frame =
-  match env.tx with
-  | Some tx ->
-    if frame = tx.Htm.owner_frame then Counters.Tm_opt else Counters.Tm_unopt
-  | None ->
-    if env.ghost_depth > 0 then
-      if frame = env.ghost_owner then Counters.Tm_opt else Counters.Tm_unopt
-    else Counters.No_tm
-
-(* The cycle charges below mutate [Counters.f] directly rather than going
+(* The cycle charge below mutates [Counters.f] directly rather than going
    through [Counters.add_cycles]: the cross-module call boxes its float
-   argument on every invocation, and these run once per charged
-   instruction.  The accumulation order and values are identical. *)
-let charge_ftl env ~frame ~tier n =
-  if n > 0 then begin
-    Counters.add_instrs env.counters (category env frame) n;
-    let cpi = match tier with Dfg -> Timing.cpi_dfg | Ftl -> Timing.cpi_ftl in
-    let c = float_of_int n *. cpi in
-    let f = env.counters.Counters.f in
-    f.Counters.cycles <- f.Counters.cycles +. c;
-    if in_region env then f.Counters.tx_cycles <- f.Counters.tx_cycles +. c
-  end
-
+   argument on every invocation, and this runs once per runtime call.  The
+   accumulation order and values are identical. *)
 let charge_runtime env n =
   if n > 0 then begin
     Counters.add_instrs env.counters Counters.No_ftl n;
@@ -146,10 +127,10 @@ let charge_rtm_reads env (tx : Htm.tx) =
     transaction (DESIGN.md §15), computed in ONE fixed-order accumulation at
     the transaction's single finish point (the outermost [Tx_end], or
     [handle_abort]).  Charging here instead of inside the heap hooks keeps
-    the floating-point accumulation order independent of how an engine
-    interleaves its instruction charges (decoded charges per instruction,
-    threaded batches per segment), which the bit-exact cross-engine counter
-    contract requires.  The terms, in order:
+    the floating-point accumulation order independent of how the engine
+    interleaves its instruction charges (per instruction, or batched per
+    segment), which the bit-exact cross-mode counter contract requires.
+    The terms, in order:
     - the hardware abort that triggered the fallback, plus the RTM read
       latency the doomed prefix had already paid;
     - STM setup (descriptor + log allocation);
@@ -227,20 +208,11 @@ let intrinsic_cost = function
 
 let wrap_int32 = Ops.wrap_int32
 
-(* [@inline] matters: both are called with the result feeding a local
-   int/float context, so inlining lets the compiler keep the common Int/Num
-   cases unboxed instead of boxing a float return per call. *)
 let[@inline] as_int = function Value.Int i -> i | v -> Value.to_int32 v
 
-let[@inline] as_num = function
-  | Value.Int i -> float_of_int i
-  | Value.Num f -> f
-  | v -> Value.to_number v
-
-(* Robust coercions: after NoMap removes checks inside a doomed transaction,
+(* Robust coercion: after NoMap removes checks inside a doomed transaction,
    garbage values may flow; hardware would compute garbage and abort later,
    so we coerce benignly instead of crashing the simulator. *)
-let as_arr = function Value.Arr a -> Some a | _ -> None
 let as_obj = function Value.Obj o -> Some o | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -259,21 +231,6 @@ let check_fail env (values : Value.t array) (e : L.exit) kind =
   match env.tx with
   | Some _ -> raise (Htm.Abort (Htm.Check_failed kind))
   | None -> raise (Deopt_exit (e.L.smp.L.resume_pc, materialize values e.L.smp.L.live))
-
-let tx_tick env =
-  match env.tx with
-  | Some tx ->
-    tx.Htm.instr_count <- tx.Htm.instr_count + 1;
-    if tx.Htm.instr_count > env.tx_watchdog then raise (Htm.Abort Htm.Watchdog)
-  | None -> ()
-
-let int_result env (overflowed : bool array) id raw =
-  if Value.fits_int32 raw then Value.int_ raw
-  else begin
-    Hot.set overflowed id true;
-    (match env.tx with Some tx when env.sof_enabled -> tx.Htm.sof <- true | _ -> ());
-    Value.int_ (wrap_int32 raw)
-  end
 
 (** Build a call's argument list from pre-resolved value ids. *)
 let arg_values (values : Value.t array) (ids : int array) =
@@ -550,8 +507,8 @@ let decoded (c : Specialize.compiled) =
 (* ------------------------------------------------------------------ *)
 (* Shared engine protocol.  Per-call bookkeeping, the transaction region
    markers and the exit handling are part of the simulated-metric contract,
-   so they live here and every engine calls in — an engine only decides
-   *how* to dispatch the instructions in between. *)
+   so they live here and the engine calls in — it only decides *how* to
+   dispatch the instructions in between. *)
 
 let cpi_of = function Dfg -> Timing.cpi_dfg | Ftl -> Timing.cpi_ftl
 

@@ -1,65 +1,59 @@
-(** The closure-threaded execution engine.
+(** The execution engine for DFG/FTL code.
 
     Compiles each pre-decoded block body once into a chain of OCaml
-    closures — each closure executes its instruction, charges its
-    pre-computed cost/tick/counter updates, and tail-calls the next — so
-    the per-instruction [match] over [Lir.kind] (the decode-interpret
-    dispatch tax) is paid once at compile time instead of on every
-    execution.  A peephole selector over the decoded stream fuses maximal
-    call/tx-marker-free straight-line runs into *deferred-accounting
-    segments* — the superinstructions:
+    closures — each closure executes its instruction and tail-calls the
+    next — so the per-instruction [match] over [Lir.kind] is paid once at
+    compile time instead of on every execution.  [sem_only] is the one
+    place each instruction's semantics is written; the accounting around
+    it is chosen per compile by [Engine.kind]:
 
-    - One [burn] of the whole segment's fuel and one batched watchdog-tick
-      add up front (with an exact per-instruction fallback chain when the
+    - [Engine.Decoded] (per-instruction accounting, the reference): every
+      instruction is a [solo] closure that burns one fuel, ticks the
+      transaction watchdog and charges its pre-computed cost at the tier's
+      CPI *before* its semantics run; each block terminator charges one
+      instruction, also before it runs.  Free instructions (ghost-mode tx
+      markers, NoMap_BC-elided checks) burn fuel only — their semantics,
+      including guard failure, still execute.  This protocol *defines* the
+      simulated-metric contract.
+    - [Engine.Threaded] (segment-batched accounting, the default): maximal
+      call/tx-marker-free straight-line runs become *deferred-accounting
+      segments*.  A segment burns its fuel and adds its watchdog ticks
+      once up front — falling back to the exact [solo] chain when the
       batched tick could cross the transaction watchdog, so a watchdog
-      abort still fires at the precise instruction it would have under the
-      reference engine).
-    - The semantics then run back to back as a chain of closures,
-      exactly as the decoded engine's match arms execute them.
-    - The segment's [add_instrs]/[add_cycles] charges are applied once at
-      the end: a single [add_instrs] of the summed cost (integer adds
-      commute exactly) and the per-instruction cycle deltas accumulated in
-      original program order (the FP additions into [cycles] are the same
-      operations on the same values in the same order, so the result is
-      bit-identical).  Category and in-region flag are invariant across
-      the segment — it contains no calls and no tx markers — so computing
-      them once is exact.
-    - Deferral is safe because no instruction inside a segment *observes*
-      the counters; the only way the reordering could show is if the
-      segment ends early.  Instructions that can raise or abort (checks →
-      deopt; heap-hook touchers → capacity aborts; allocs) therefore
-      record how many instructions' accounting is due ([st.due]) before
-      their semantics run, and the segment's exception guard reconciles
-      exactly that prefix — restoring the reference engine's precise
-      counter state — before re-raising.  Pure instructions
-      ([Decode.pure]) cannot raise and skip the bookkeeping entirely.
-      (The transaction's [instr_count] may be over-advanced when an abort
-      tears the transaction down mid-segment; [handle_abort] never reads
-      it and the transaction object dies, so it is unobservable.)
-    - *elided runs* are the degenerate segment with zero tick and zero
-      cost: the closure only burns fuel (semantics still guard).
-    - *check+consumer pairs*: [Check_bounds]+[Load_elem]/[Store_elem] and
-      [Check_str_bounds]+[Load_char_code] whose consumer indexes through
-      the check's result additionally fuse into one closure that keeps
-      the array/index in locals instead of re-reading and re-matching
-      them; [st.due] advances across both halves, so the reconciled
-      charges and the abort points are unchanged.
+      abort fires at the precise instruction — then runs the semantics
+      back to back and applies the instr/cycle charges once at the end: a
+      single [add_instrs] of the summed cost (integer adds commute) and the
+      per-instruction cycle deltas accumulated in program order (the same
+      FP additions on the same values in the same order, so the result is
+      bit-identical).  Category and in-region flag are invariant across a
+      segment — it contains no calls and no tx markers — so computing them
+      once is exact.  Calls, intrinsics, runtime calls and tx markers stay
+      [solo] in both modes.
+
+    Deferral is exact because no instruction inside a segment *observes*
+    the counters; the reordering could show only if the segment ends
+    early.  Instructions that can raise or abort (checks → deopt;
+    heap-hook touchers → capacity aborts; allocs) therefore record how
+    many instructions' accounting is due ([st.due]) before their semantics
+    run, and the segment's exception guard reconciles exactly that prefix
+    — the per-instruction counter state — before re-raising.  Pure
+    instructions ([Decode.pure]) cannot raise and skip the bookkeeping.
+    (The transaction's [instr_count] may be over-advanced when an abort
+    tears the transaction down mid-segment; [handle_abort] never reads it
+    and the transaction object dies, so it is unobservable.)  Elided runs
+    are the degenerate segment with zero tick and zero cost.
 
     Batched fuel: a segment burns its fuel up front, so a program that
     runs out of fuel mid-segment dies a few instructions earlier than
-    under the decoded engine.  [Out_of_fuel] is a crash, not an
-    observation — the oracle compares crash identity, and both engines
+    under per-instruction accounting.  [Out_of_fuel] is a crash, not an
+    observation — the oracle compares crash identity, and both modes
     raise the same exception — so this is crash-equivalent.
 
-    Calls, intrinsics, runtime calls and tx markers (which change the
-    category/in-region state or re-enter the VM) stay solo closures with
-    the reference engine's exact protocol baked in at compile time (free /
-    zero-cost / charged variants resolved once, CPI multiplication
-    pre-computed — [float_of_int cost *. cpi] at compile time is the same
-    IEEE operation the decoded engine performs at run time).
-
-    The compiled chain is cached on [Specialize.compiled] via the
-    extensible [Specialize.artifact] slot; adaptation discarding a version
+    The free / zero-cost / charged decision and the CPI multiplication are
+    resolved at compile time ([float_of_int cost *. cpi] at compile time is
+    the same IEEE operation as at run time).  The compiled chain is cached
+    on [Specialize.compiled] via the extensible [Specialize.artifact] slot,
+    keyed on tier and accounting mode; adaptation discarding a version
     ([ftl <- None]) discards the chain with it.  Closures capture the
     [Machine.env] they were compiled against — compiled records are
     per-VM, so this never crosses VMs (or domains). *)
@@ -82,9 +76,9 @@ open Machine
    there, a cross-module call taking or returning a float boxes it on
    every invocation (once per executed comparison / cycle charge).
    Defining these locally keeps the hot path allocation-free under every
-   build profile.  Semantics must stay identical to [Machine.as_num] /
-   [number] / [Hot.fget]; the fuzzer's engine axis guards the
-   equivalence. *)
+   build profile.  Semantics must stay identical to [Value.to_number] /
+   [Value.number] / [Hot.fget]; the tier-0 interpreter oracle and the
+   golden counter table guard the equivalence. *)
 let[@inline] int_ i =
   if i >= Value.small_int_min && i <= Value.small_int_max then
     Array.unsafe_get Value.small_ints (i - Value.small_int_min)
@@ -128,10 +122,11 @@ let[@inline] bump_check cnt ci =
   let a = cnt.Counters.checks in
   a.(ci) <- a.(ci) + 1
 
-(* The rest of the reference engine's per-instruction protocol, also
-   same-module so it inlines: fuel, the transaction watchdog tick, the
-   region predicate, int32-overflow materialization, and the instruction
-   counter.  [category_ix] fuses [Machine.category] with
+(* The rest of the per-instruction protocol, also same-module so it
+   inlines: fuel, the transaction watchdog tick, the region predicate,
+   int32-overflow materialization, and the instruction/cycle charge.
+   [category_ix] maps the frame's transaction state (TMOpt inside its own
+   region, TMUnopt inside someone else's, NoTM outside) straight to
    [Counters.category_index]; the index constants come from Counters, so
    the mapping cannot drift. *)
 let[@inline] burn inst n =
@@ -172,6 +167,14 @@ let[@inline] bump_instrs cnt ix n =
   let a = cnt.Counters.instrs in
   a.(ix) <- a.(ix) + n
 
+(* Charge [n] instructions whose cycle cost [delta] = [float_of_int n *.
+   cpi] was computed at compile time. *)
+let[@inline] charge env cnt ~frame n delta =
+  bump_instrs cnt (category_ix env frame) n;
+  let f = cnt.Counters.f in
+  f.Counters.cycles <- f.Counters.cycles +. delta;
+  if in_region env then f.Counters.tx_cycles <- f.Counters.tx_cycles +. delta
+
 (** Per-activation state threaded through every closure.  [next_block] is
     the driver's program counter; -1 means the function returned. *)
 type state = {
@@ -197,6 +200,7 @@ type tfunc = {
   t_blocks : code array;  (** per-block entry closure (phis + body + term) *)
   t_nvalues : int;
   t_tier : tier;
+  t_engine : Engine.kind;
   mutable t_pool : state list;
       (** activation-frame free list: a normal return scrubs its frame
           (values/overflowed reset to the fresh-frame state) and parks it
@@ -207,15 +211,15 @@ type tfunc = {
 
 type Specialize.artifact += Threaded_code of tfunc
 
-let compile_func env ~tier (d : D.t) : tfunc =
+let compile_func env ~tier ~engine (d : D.t) : tfunc =
   let cpi = cpi_of tier in
   let inst = env.instance in
   let heap = inst.Instance.heap in
   let cnt = env.counters in
   let fcnt = cnt.Counters.f in
-  (* The semantics of one instruction, exactly as the decoded engine's
-     match arms execute them, continuation-passing into [next].  No
-     accounting here — the caller bakes the charging protocol around it. *)
+  (* The semantics of one instruction, continuation-passing into [next].
+     No accounting here — the caller bakes the charging protocol around
+     it. *)
   let sem_only (di : D.dinstr) (next : code) : code =
     let v = di.D.id in
     let el = di.D.elided in
@@ -322,7 +326,7 @@ let compile_func env ~tier (d : D.t) : tfunc =
         next st
     | L.Bnot a ->
       fun st ->
-        set st.values v (Value.Int (wrap_int32 (lnot (as_int (get st.values a)))));
+        set st.values v (int_ (wrap_int32 (lnot (as_int (get st.values a)))));
         next st
     | L.Shl (a, b) ->
       fun st ->
@@ -578,9 +582,10 @@ let compile_func env ~tier (d : D.t) : tfunc =
     | L.Intrinsic (intr, _) ->
       let args = di.D.args in
       let ftl_c, rt_c = intrinsic_cost intr in
+      let ftl_delta = float_of_int ftl_c *. cpi in
       fun st ->
         if not el then begin
-          charge_ftl env ~frame:st.frame ~tier ftl_c;
+          if ftl_c > 0 then charge env cnt ~frame:st.frame ftl_c ftl_delta;
           charge_runtime env rt_c
         end;
         set st.values v (eval_intrinsic heap intr Value.Undef args st.values);
@@ -608,9 +613,9 @@ let compile_func env ~tier (d : D.t) : tfunc =
         exec_tx_end env;
         next st
   in
-  (* A solo closure: the reference engine's per-instruction protocol with
-     the free / zero-cost / charged decision and the CPI multiply resolved
-     at compile time. *)
+  (* A solo closure: the per-instruction protocol with the free /
+     zero-cost / charged decision and the CPI multiply resolved at compile
+     time. *)
   let solo (di : D.dinstr) (next : code) : code =
     let free = di.D.elided || (di.D.is_tx_marker && env.htm_mode = Htm.Ghost) in
     let cost = di.D.cost in
@@ -629,9 +634,7 @@ let compile_func env ~tier (d : D.t) : tfunc =
       fun st ->
         burn inst 1;
         tx_tick env;
-        bump_instrs cnt (category_ix env st.frame) cost;
-        fcnt.Counters.cycles <- fcnt.Counters.cycles +. delta;
-        if in_region env then fcnt.Counters.tx_cycles <- fcnt.Counters.tx_cycles +. delta;
+        charge env cnt ~frame:st.frame cost delta;
         sem st
   in
   (* Segment membership: everything except the instructions that change
@@ -645,67 +648,6 @@ let compile_func env ~tier (d : D.t) : tfunc =
     | _ -> true
   in
   let unit_code : code = fun _ -> () in
-  (* Check+consumer fusion inside a segment: when the pattern matches,
-     returns the fused *semantics* for both instructions (array/index kept
-     in locals instead of re-read and re-matched); [st.due] advances past
-     each half exactly when the reference engine would have charged it, so
-     reconciliation and abort points are unchanged.  Both halves
-     non-elided only: an elided check charges nothing and fires no hook,
-     so the straight-line chain is already free. *)
-  let fuse_pair (run : D.dinstr array) k : ((code -> code) option[@warning "-26"]) =
-    if k + 1 >= Array.length run then None
-    else
-      let c = get run k and u = get run (k + 1) in
-      if c.D.elided || u.D.elided then None
-      else
-        let vc = c.D.id and vu = u.D.id in
-        let due1 = k + 1 and due2 = k + 2 in
-        match (c.D.kind, u.D.kind) with
-        | L.Check_bounds (a, i', e), L.Load_elem (a2, i2) when a2 = a && i2 = c.D.id ->
-          Some
-            (fun next_sems st ->
-              st.due <- due1;
-              let idx = as_int (get st.values i') in
-              (match get st.values a with
-              | Value.Arr arr when idx >= 0 && idx < arr.Value.alen ->
-                Heap.note_load heap arr.Value.aaddr 8;
-                bump_check cnt ci_bounds;
-                set st.values vc (int_ idx);
-                st.due <- due2;
-                set st.values vu (Heap.load_elem heap arr idx)
-              | _ -> check_fail env st.values e L.Bounds);
-              next_sems st)
-        | L.Check_bounds (a, i', e), L.Store_elem (a2, i2, x) when a2 = a && i2 = c.D.id
-          ->
-          Some
-            (fun next_sems st ->
-              st.due <- due1;
-              let idx = as_int (get st.values i') in
-              (match get st.values a with
-              | Value.Arr arr when idx >= 0 && idx < arr.Value.alen ->
-                Heap.note_load heap arr.Value.aaddr 8;
-                bump_check cnt ci_bounds;
-                set st.values vc (int_ idx);
-                st.due <- due2;
-                Heap.store_elem heap arr idx (get st.values x)
-              | _ -> check_fail env st.values e L.Bounds);
-              next_sems st)
-        | L.Check_str_bounds (s, i', e), L.Load_char_code (s2, i2)
-          when s2 = s && i2 = c.D.id ->
-          Some
-            (fun next_sems st ->
-              st.due <- due1;
-              let idx = as_int (get st.values i') in
-              (match get st.values s with
-              | Value.Str str when idx >= 0 && idx < String.length str.Value.sdata ->
-                bump_check cnt ci_bounds;
-                set st.values vc (int_ idx);
-                st.due <- due2;
-                set st.values vu (int_ (Ops.string_char_code heap str idx))
-              | _ -> check_fail env st.values e L.Bounds);
-              next_sems st)
-        | _ -> None
-  in
   (* One deferred-accounting segment over [run] (see the module doc):
      burn/tick batched up front, semantics chained, instr/cycle charges
      applied once at the end, with an exception guard reconciling the
@@ -719,13 +661,13 @@ let compile_func env ~tier (d : D.t) : tfunc =
      category/in-tx flag cannot change between the segment's last
      instruction and the terminator (no calls or tx markers in between),
      and appending the terminator's cycle delta last preserves the
-     reference engine's accumulation order.  The watchdog fallback and any
+     per-instruction accumulation order.  The watchdog fallback and any
      mid-segment raise never reach the terminator, so those paths keep the
      self-charging [term]. *)
   let rec compile_seq (body : D.dinstr array) i ~(term : code) ~(term_free : code) :
       code =
     if i >= Array.length body then term
-    else if not (seg_able (get body i)) then
+    else if engine = Engine.Decoded || not (seg_able (get body i)) then
       solo (get body i) (compile_seq body (i + 1) ~term ~term_free)
     else begin
       let n_body = Array.length body in
@@ -764,7 +706,7 @@ let compile_func env ~tier (d : D.t) : tfunc =
       in
       let n_deltas = Array.length deltas in
       (* cost_prefix.(k) / dcount_prefix.(k): summed cost and cycle-delta
-         count charged by the reference engine after the segment's first
+         count charged by per-instruction accounting after the segment's first
          [k] instructions — what reconciliation owes at [st.due = k]. *)
       let cost_prefix = Array.make (n + 1) 0 in
       let dcount_prefix = Array.make (n + 1) 0 in
@@ -780,18 +722,15 @@ let compile_func env ~tier (d : D.t) : tfunc =
       let rec build k : code =
         if k >= n then unit_code
         else
-          match fuse_pair run k with
-          | Some mk -> mk (build (k + 2))
-          | None ->
-            let di = get run k in
-            let s = sem_only di (build (k + 1)) in
-            if di.D.pure then s
-            else begin
-              let due = k + 1 in
-              fun st ->
-                st.due <- due;
-                s st
-            end
+          let di = get run k in
+          let s = sem_only di (build (k + 1)) in
+          if di.D.pure then s
+          else begin
+            let due = k + 1 in
+            fun st ->
+              st.due <- due;
+              s st
+          end
       in
       let sems = build 0 in
       let slow = Array.fold_right solo run slow_next in
@@ -894,7 +833,7 @@ let compile_func env ~tier (d : D.t) : tfunc =
   in
   (* Phis: the pre-resolved copy table for the incoming edge, applied as a
      parallel assignment (read phase, then write phase) before the body —
-     same scratch-buffer discipline as the decoded engine. *)
+     using the decoded function's scratch buffer. *)
   let with_phis (edges : D.phi_edge array) (body : code) : code =
     let scratch = d.D.scratch in
     let n_edges = Array.length edges in
@@ -926,27 +865,34 @@ let compile_func env ~tier (d : D.t) : tfunc =
       (fun bid (b : D.dblock) ->
         let term_free = compile_term bid b.D.dterm in
         let term st =
-          charge_ftl env ~frame:st.frame ~tier 1;
+          charge env cnt ~frame:st.frame 1 cpi;
           term_free st
         in
         let body = compile_seq b.D.body 0 ~term ~term_free in
         if Array.length b.D.phi_edges = 0 then body else with_phis b.D.phi_edges body)
       d.D.dblocks
   in
-  { t_entry = d.D.entry; t_blocks; t_nvalues = d.D.nvalues; t_tier = tier; t_pool = [] }
+  {
+    t_entry = d.D.entry;
+    t_blocks;
+    t_nvalues = d.D.nvalues;
+    t_tier = tier;
+    t_engine = engine;
+    t_pool = [];
+  }
 
-(** The threaded code for [c], compiled on first execution and cached on
-    the compiled record. *)
-let threaded env (c : Specialize.compiled) ~tier : tfunc =
+(** The compiled code for [c] under [engine]'s accounting mode, compiled
+    on first execution and cached on the compiled record. *)
+let threaded env (c : Specialize.compiled) ~tier ~engine : tfunc =
   match c.Specialize.engine_code with
-  | Some (Threaded_code tf) when tf.t_tier = tier -> tf
+  | Some (Threaded_code tf) when tf.t_tier = tier && tf.t_engine = engine -> tf
   | _ ->
-    let tf = compile_func env ~tier (decoded c) in
+    let tf = compile_func env ~tier ~engine (decoded c) in
     c.Specialize.engine_code <- Some (Threaded_code tf);
     tf
 
-let exec_func env (c : Specialize.compiled) ~tier ~this ~args : Value.t =
-  let tf = threaded env c ~tier in
+let exec_func env (c : Specialize.compiled) ~tier ~engine ~this ~args : Value.t =
+  let tf = threaded env c ~tier ~engine in
   let frame = enter_call env ~tier in
   let argv = Array.of_list args in
   let st =

@@ -19,7 +19,6 @@ module Interp = Nomap_interp.Interp
 module Specialize = Nomap_tiers.Specialize
 module Machine = Nomap_machine.Machine
 module Engine = Nomap_machine.Engine
-module Decoded = Nomap_machine.Decoded
 module Threaded = Nomap_machine.Threaded
 module Counters = Nomap_machine.Counters
 module Timing = Nomap_machine.Timing
@@ -56,7 +55,7 @@ type t = {
   counters : Counters.t;
   config : Config.t;
   tier_cap : tier_cap;
-  engine : Engine.kind;  (** which execution engine runs DFG/FTL code *)
+  engine : Engine.kind;  (** accounting mode of the engine that runs DFG/FTL code *)
   thresholds : thresholds;
   versions : version array;
   verify_lir : bool;
@@ -236,9 +235,7 @@ and ensure_ftl t fid =
     c
 
 and exec t c ~tier ~this ~args =
-  match t.engine with
-  | Engine.Decoded -> Decoded.exec_func (machine_env t) c ~tier ~this ~args
-  | Engine.Threaded -> Threaded.exec_func (machine_env t) c ~tier ~this ~args
+  Threaded.exec_func (machine_env t) c ~tier ~engine:t.engine ~this ~args
 
 and dispatch t ~fid ~this ~args =
   let fp = Feedback.func_profile t.profile fid in

@@ -1,14 +1,16 @@
-(** Engine equivalence: the closure-threaded engine must be observationally
-    identical to the decoded reference engine — same results, same heap,
-    and a bit-identical counter table — at every tier and architecture.
+(** Engine equivalence: segment-batched accounting ([Engine.Threaded])
+    must be observationally identical to per-instruction accounting
+    ([Engine.Decoded], the reference) — same results, same heap, and a
+    bit-identical counter table — at every tier and architecture.
 
     Three layers:
     - the pinned fuzz corpus through both engines across the optimizing
       tier × architecture matrix (plus the sub-DFG tiers, where the engine
       choice must be inert);
-    - hand-built edge-case kernels hitting the paths where the threaded
-      engine's deferred accounting must reconcile exactly: phi-heavy loops,
-      mid-segment deopts, SOF overflow aborts, chunked transactions;
+    - hand-built edge-case kernels hitting the paths where deferred
+      accounting must reconcile exactly: phi-heavy loops, mid-segment
+      deopts, SOF overflow aborts, chunked transactions, and a watchdog
+      abort inside a segment;
     - a hand-built LIR function whose body is one elided run, proving the
       fused superinstruction charges exactly zero simulated cost (the
       terminator's single instruction is all that may appear). *)
@@ -224,6 +226,16 @@ let test_hybrid_fit_identical () =
    one simulated instruction (the terminator), one terminator's worth of
    cycles, and zero checks — the threaded engine runs the body as a single
    fused zero-cost superinstruction. *)
+let compiled_of f =
+  {
+    Specialize.lir = f;
+    block_pc = Hashtbl.create 1;
+    header_blocks = [];
+    entry_states = Hashtbl.create 1;
+    decoded = None;
+    engine_code = None;
+  }
+
 let build_elided_chain () =
   let f = L.create_func ~fid:0 in
   let b = L.new_block f in
@@ -239,33 +251,21 @@ let build_elided_chain () =
   let rec chain v k = if k = 0 then v else chain (add (L.Iadd (v, v))) (k - 1) in
   let last = chain v0 5 in
   b.L.term <- L.Ret (Some last);
-  {
-    Specialize.lir = f;
-    block_pc = Hashtbl.create 1;
-    header_blocks = [];
-    entry_states = Hashtbl.create 1;
-    decoded = None;
-    engine_code = None;
-  }
+  compiled_of f
 
-let exec_raw ~engine compiled =
+let exec_raw ?(htm_mode = Htm.Ghost) ?tx_watchdog ~engine compiled =
   let prog = Nomap_bytecode.Compile.compile_source "var result = 0;" in
   let instance = Instance.create ~fuel:1_000_000 prog in
   let counters = Counters.create () in
   let env =
-    Machine.create_env ~instance ~counters ~htm_mode:Htm.Ghost ~sof_enabled:false
+    Machine.create_env ~instance ~counters ~htm_mode ~sof_enabled:false ?tx_watchdog
       ~call:(fun ~fid:_ ~this:_ ~args:_ -> Value.Undef)
       ~deopt_resume:(fun ~fid:_ ~resume_pc:_ ~values:_ -> Value.Undef)
       ()
   in
   let result =
-    match engine with
-    | Engine.Decoded ->
-      Nomap_machine.Decoded.exec_func env compiled ~tier:Machine.Ftl ~this:Value.Undef
-        ~args:[]
-    | Engine.Threaded ->
-      Nomap_machine.Threaded.exec_func env compiled ~tier:Machine.Ftl ~this:Value.Undef
-        ~args:[]
+    Nomap_machine.Threaded.exec_func env compiled ~tier:Machine.Ftl ~engine
+      ~this:Value.Undef ~args:[]
   in
   (result, counters)
 
@@ -289,6 +289,52 @@ let test_elided_run_is_free () =
     (Counters.to_canonical_string cd)
     (Counters.to_canonical_string ct)
 
+(* ------------------------------------------------------------------ *)
+(* Watchdog fallback inside a segment *)
+
+(* b0: Tx_begin; v = Const 3; six chained Iadds; Tx_end; Ret.  Under RTM
+   with a watchdog of [watchdog] ticks, the straight-line run's batched
+   tick (7) would cross it, so the batched mode must take the segment's
+   per-instruction fallback and abort at exactly the instruction
+   per-instruction accounting aborts at. *)
+let build_tx_run () =
+  let f = L.create_func ~fid:0 in
+  let b = L.new_block f in
+  f.L.entry <- b.L.bid;
+  let add kind =
+    let i = L.new_instr f kind in
+    i.L.block <- b.L.bid;
+    b.L.instrs <- b.L.instrs @ [ i.L.id ];
+    i.L.id
+  in
+  ignore (add (L.Tx_begin (L.fresh_smp f ~resume_pc:0 ~live:[])));
+  let v0 = add (L.Const (Value.Int 3)) in
+  let rec chain v k = if k = 0 then v else chain (add (L.Iadd (v, v))) (k - 1) in
+  let last = chain v0 6 in
+  ignore (add L.Tx_end);
+  b.L.term <- L.Ret (Some last);
+  compiled_of f
+
+let test_watchdog_fallback () =
+  let run engine =
+    snd (exec_raw ~htm_mode:Htm.Rtm ~tx_watchdog:3 ~engine (build_tx_run ()))
+  in
+  let tables =
+    List.map
+      (fun engine ->
+        let c = run engine in
+        Alcotest.(check (list (pair string int)))
+          (Engine.name engine ^ ": exactly one watchdog abort")
+          [ ("watchdog", 1) ]
+          (Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.Counters.abort_reasons []);
+        Alcotest.(check int) (Engine.name engine ^ ": no commit") 0 c.Counters.tx_commits;
+        Counters.to_canonical_string c)
+      Engine.all
+  in
+  match tables with
+  | [ d; t ] -> Alcotest.(check string) "canonical tables identical" d t
+  | _ -> Alcotest.fail "expected two engines"
+
 let tests =
   [
     Alcotest.test_case "corpus equivalence (both engines)" `Quick test_corpus_equivalence;
@@ -300,4 +346,5 @@ let tests =
     Alcotest.test_case "hybrid matches rtm when footprint fits" `Quick
       test_hybrid_fit_identical;
     Alcotest.test_case "fused elided run is free" `Quick test_elided_run_is_free;
+    Alcotest.test_case "watchdog fallback mid-segment" `Quick test_watchdog_fallback;
   ]
