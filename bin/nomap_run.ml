@@ -134,7 +134,7 @@ let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.js")
 
 let arch =
   Arg.(value & opt string "Base" & info [ "arch"; "a" ] ~docv:"ARCH"
-    ~doc:"Architecture: Base, NoMap_S, NoMap_B, NoMap, NoMap_BC, NoMap_RTM.")
+    ~doc:("Architecture: " ^ String.concat ", " (List.map Config.name Config.all) ^ "."))
 
 let tier =
   Arg.(value & opt string "ftl" & info [ "tier"; "t" ] ~docv:"TIER"

@@ -3,15 +3,17 @@
 
     HTM keeps a transaction's speculative lines in the cache; the
     transaction aborts when any set would need more ways than the cache
-    has.  This records the distinct lines touched, bucketed by set, and
-    answers the two questions Table IV and the RTM capacity model need:
-    total footprint and the maximum associativity any set requires. *)
+    has.  This records the distinct lines touched in one flat set, with a
+    per-set count of ways in use, and answers the two questions Table IV
+    and the RTM capacity model need: total footprint and the maximum
+    associativity any set requires. *)
 
 type t = {
   sets : int;
   ways : int;
   line_bytes : int;
-  per_set : (int, (int, unit) Hashtbl.t) Hashtbl.t;
+  line_set : (int, unit) Hashtbl.t;  (** distinct lines touched *)
+  ways_used : int array;  (** set -> distinct lines touched in it *)
   mutable lines : int;
   mutable overflowed : bool;
 }

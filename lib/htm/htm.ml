@@ -21,13 +21,17 @@
       configuration so instruction accounting can still classify code by
       transaction region (paper Figures 8-11 break Base down the same way).
 
-    Rollback is an undo log captured via the heap's store hook: the paper's
-    hardware buffers speculative lines in the cache; we restore mutated
-    locations instead, which is observationally identical for a
-    single-threaded run.  The STM mode reuses the identical undo log (our
-    host-side journal stands in for the STM's redo log — both make the
-    region's writes revocable, and for a single-threaded run commit/abort
-    outcomes are indistinguishable). *)
+    The bookkeeping of every mode is the heap's one transaction log
+    ([Heap.log]): the heap appends undo closures, read/write counts and
+    footprints to it directly.  This module only opens the log (choosing
+    the footprints and the [hardware] flag), sets its policy for the rare
+    events ([on_limit]: capacity overflow and I/O), and closes it.
+    Rollback runs the log's undo closures: the paper's hardware buffers
+    speculative lines in the cache; we restore mutated locations instead,
+    which is observationally identical for a single-threaded run.  The STM
+    mode reuses the same log (our host-side journal stands in for the STM's
+    redo log — both make the region's writes revocable, and for a
+    single-threaded run commit/abort outcomes are indistinguishable). *)
 
 module Heap = Nomap_runtime.Heap
 module Value = Nomap_runtime.Value
@@ -65,47 +69,25 @@ type tx = {
       (** mutable for exactly one transition: a hybrid RTM transaction
           upgrading to [Stm] on capacity overflow *)
   heap : Heap.t;
-  saved_active : bool;
-  saved_load : int -> int -> unit;
-  saved_store : int -> int -> (unit -> unit) -> unit;
-  saved_io : unit -> unit;
-  mutable undo : (unit -> unit) list;  (** newest first *)
-  write_fp : Footprint.t;
-  read_fp : Footprint.t option;  (** RTM only *)
+  log : Heap.log;  (** installed as [heap.log] while open (not for Ghost) *)
   mutable sof : bool;  (** sticky overflow flag (ROT + SOF hardware) *)
   mutable nesting : int;  (** flattened nesting depth *)
   snapshot : (int * Value.t) list;  (** baseline register state at XBegin *)
   resume_pc : int;  (** where Baseline restarts the region *)
   owner_frame : int;  (** machine frame that executed Tx_begin *)
-  mutable reads : int;
-  mutable writes : int;
   mutable instr_count : int;
   mutable stm_prefix_reads : int;
-      (** [reads] at the HTM→STM upgrade point: accesses executed (and
+      (** [log.reads] at the HTM→STM upgrade point: accesses executed (and
           wasted) under hardware before the capacity overflow.  0 unless the
           transaction fell back. *)
-  mutable stm_prefix_writes : int;  (** [writes] at the upgrade point *)
+  mutable stm_prefix_writes : int;  (** [log.writes] at the upgrade point *)
 }
-
-(* Software-mode hooks: identical journaling, no capacity raise.  The write
-   footprint keeps being recorded ([Footprint.touch] accumulates lines past
-   overflow; its boolean is simply ignored) so Table-IV-style write-set
-   statistics stay exact for fallen-back transactions. *)
-let install_stm_hooks tx =
-  let heap = tx.heap in
-  heap.Heap.hooks.store <-
-    (fun addr bytes undo ->
-      tx.undo <- undo :: tx.undo;
-      tx.writes <- tx.writes + 1;
-      ignore (Footprint.touch tx.write_fp ~addr ~bytes));
-  heap.Heap.hooks.load <- (fun _ _ -> tx.reads <- tx.reads + 1);
-  heap.Heap.hooks.io <- (fun () -> raise (Abort Irrevocable));
-  heap.Heap.hooks.active <- true
 
 (** Upgrade a hardware transaction to the modeled software transaction
     in place: mark how much work the doomed hardware attempt had done (the
-    timing model charges its re-execution), flip the mode, and swap in
-    capacity-free hooks.  The undo log persists across the transition, so a
+    timing model charges its re-execution), flip the mode, and clear the
+    log's [hardware] flag: capacity is no longer enforced and reads no
+    longer tracked.  The undo log persists across the transition, so a
     later rollback (failed in-tx check) still restores the pre-[begin_tx]
     heap exactly.  In-place upgrade is observationally identical to
     "abort, then re-execute the region under STM" for a deterministic
@@ -113,10 +95,26 @@ let install_stm_hooks tx =
     reads and writes — which is why the machine can keep running the
     NoMap-optimized code without materializing a restart. *)
 let fallback_to_stm tx =
-  tx.stm_prefix_reads <- tx.reads;
-  tx.stm_prefix_writes <- tx.writes;
+  tx.stm_prefix_reads <- tx.log.Heap.reads;
+  tx.stm_prefix_writes <- tx.log.Heap.writes;
   tx.mode <- Stm;
-  install_stm_hooks tx
+  tx.log.Heap.hardware <- false
+
+(* The log's policy for the rare events: I/O is always irrevocable; a
+   capacity overflow aborts, or upgrades the transaction to software in
+   place when the hybrid fallback is on. *)
+let on_limit ?stm_fallback tx limit =
+  let capacity reason =
+    match stm_fallback with
+    | Some notify ->
+      notify reason;
+      fallback_to_stm tx
+    | None -> raise (Abort reason)
+  in
+  match limit with
+  | Heap.Io -> raise (Abort Irrevocable)
+  | Heap.Write_set_full -> capacity Capacity_write
+  | Heap.Read_set_full -> capacity Capacity_read
 
 (** Begin a transaction: snapshot is the architectural-register state the
     hardware checkpoints at XBegin.  [stm_fallback], when given, makes a
@@ -126,75 +124,43 @@ let fallback_to_stm tx =
     of raising [Abort]. *)
 let begin_tx ?(capacity_scale = 1) ?stm_fallback heap ~mode ~snapshot ~resume_pc
     ~owner_frame =
-  let tx =
+  let rec tx =
     {
       mode;
       heap;
-      saved_active = heap.Heap.hooks.active;
-      saved_load = heap.Heap.hooks.load;
-      saved_store = heap.Heap.hooks.store;
-      saved_io = heap.Heap.hooks.io;
-      undo = [];
-      write_fp =
-        (match mode with
-        | Rtm -> Footprint.l1d ~scale:capacity_scale ()
-        | _ -> Footprint.l2 ~scale:capacity_scale ());
-      read_fp =
-        (match mode with Rtm -> Some (Footprint.l2 ~scale:capacity_scale ()) | _ -> None);
+      log =
+        {
+          Heap.undo = [];
+          reads = 0;
+          writes = 0;
+          write_fp = (if mode = Rtm then Footprint.l1d else Footprint.l2) ~scale:capacity_scale ();
+          read_fp = (if mode = Rtm then Some (Footprint.l2 ~scale:capacity_scale ()) else None);
+          hardware = mode <> Stm;
+          on_limit = (fun limit -> on_limit ?stm_fallback tx limit);
+        };
       sof = false;
       nesting = 1;
       snapshot;
       resume_pc;
       owner_frame;
-      reads = 0;
-      writes = 0;
       instr_count = 0;
       stm_prefix_reads = 0;
       stm_prefix_writes = 0;
     }
   in
-  (match mode with
-  | Ghost -> ()
-  | Stm -> install_stm_hooks tx
-  | Rot | Rtm ->
-    let capacity reason =
-      match stm_fallback with
-      | Some notify ->
-        notify reason;
-        fallback_to_stm tx
-      | None -> raise (Abort reason)
-    in
-    heap.Heap.hooks.store <-
-      (fun addr bytes undo ->
-        tx.undo <- undo :: tx.undo;
-        tx.writes <- tx.writes + 1;
-        if not (Footprint.touch tx.write_fp ~addr ~bytes) then capacity Capacity_write);
-    heap.Heap.hooks.load <-
-      (fun addr bytes ->
-        tx.reads <- tx.reads + 1;
-        match tx.read_fp with
-        | Some fp -> if not (Footprint.touch fp ~addr ~bytes) then capacity Capacity_read
-        | None -> ());
-    heap.Heap.hooks.io <- (fun () -> raise (Abort Irrevocable));
-    heap.Heap.hooks.active <- true);
+  if mode <> Ghost then heap.Heap.log <- Some tx.log;
   tx
-
-let restore_hooks tx =
-  tx.heap.Heap.hooks.active <- tx.saved_active;
-  tx.heap.Heap.hooks.load <- tx.saved_load;
-  tx.heap.Heap.hooks.store <- tx.saved_store;
-  tx.heap.Heap.hooks.io <- tx.saved_io
 
 (** Commit: speculative writes become permanent.  (The 5-cycle SW-bit
     flash-clear / 13-cycle RTM drain — and the STM write-back/validation —
-    is charged by the timing model, not here.)  Returns the final write
-    footprint for Table IV. *)
+    is charged by the timing model, not here.)  Drops the undo closures so
+    a retained [tx] does not keep the journaled old values alive. *)
 let commit tx =
-  restore_hooks tx;
-  tx.undo <- []
+  tx.heap.Heap.log <- None;
+  tx.log.Heap.undo <- []
 
 (** Abort: undo every speculative write, newest first, and drop the tx. *)
 let rollback tx =
-  restore_hooks tx;
-  List.iter (fun undo -> undo ()) tx.undo;
-  tx.undo <- []
+  tx.heap.Heap.log <- None;
+  List.iter (fun undo -> undo ()) tx.log.Heap.undo;
+  tx.log.Heap.undo <- []

@@ -12,11 +12,12 @@
     - [Ghost]: no transactional semantics; used by the Base configuration
       purely for instruction-category accounting.
 
-    Rollback is an undo log captured through the heap's store hook: the
-    real hardware buffers speculative lines in the cache; restoring mutated
-    locations is observationally identical for a single-threaded run. *)
-
-module Footprint = Nomap_cache.Footprint
+    Every mode's bookkeeping is the heap's one transaction log
+    ([Nomap_runtime.Heap.log]), which the heap appends to directly; this
+    module opens it, sets its policy for capacity overflow and I/O, and
+    closes it.  Rollback runs the log's undo closures: the real hardware
+    buffers speculative lines in the cache; restoring mutated locations is
+    observationally identical for a single-threaded run. *)
 
 type mode = Rot | Rtm | Stm | Ghost
 
@@ -34,7 +35,7 @@ type abort_reason =
 
 val abort_reason_name : abort_reason -> string
 
-(** Raised by the capacity hooks and by the machine's check failures inside
+(** Raised by the log's limit policy (capacity overflow, I/O) and by the machine's check failures inside
     transactions; unwinds to the frame that began the transaction. *)
 exception Abort of abort_reason
 
@@ -43,29 +44,23 @@ type tx = {
       (** mutable for exactly one transition: hybrid RTM upgrading to [Stm]
           on capacity overflow *)
   heap : Nomap_runtime.Heap.t;
-  saved_active : bool;  (** hooks.active before this tx installed its own *)
-  saved_load : int -> int -> unit;
-  saved_store : int -> int -> (unit -> unit) -> unit;
-  saved_io : unit -> unit;
-  mutable undo : (unit -> unit) list;  (** newest first *)
-  write_fp : Footprint.t;
-  read_fp : Footprint.t option;  (** RTM only *)
+  log : Nomap_runtime.Heap.log;
+      (** undo, read/write counts and footprints; installed as the heap's
+          [log] while the transaction is open (never for [Ghost]) *)
   mutable sof : bool;  (** sticky overflow flag *)
   mutable nesting : int;  (** flattened nesting depth *)
   snapshot : (int * Nomap_runtime.Value.t) list;
       (** baseline register state checkpointed at XBegin *)
   resume_pc : int;  (** where Baseline restarts the region after an abort *)
   owner_frame : int;  (** machine frame that executed Tx_begin *)
-  mutable reads : int;
-  mutable writes : int;
   mutable instr_count : int;
   mutable stm_prefix_reads : int;
-      (** [reads] at the HTM→STM upgrade point (work wasted under
+      (** [log.reads] at the HTM→STM upgrade point (work wasted under
           hardware); 0 unless the transaction fell back *)
-  mutable stm_prefix_writes : int;  (** [writes] at the upgrade point *)
+  mutable stm_prefix_writes : int;  (** [log.writes] at the upgrade point *)
 }
 
-(** Begin a transaction: installs journaling/footprint hooks on the heap.
+(** Begin a transaction: opens its log and installs it on the heap.
     [capacity_scale] shrinks the modeled cache geometry (DESIGN.md §6).
     [stm_fallback], when given, turns a capacity overflow into an in-place
     upgrade to [Stm] — the function is called once with the averted abort
@@ -81,8 +76,8 @@ val begin_tx :
   owner_frame:int ->
   tx
 
-(** Make the speculative writes permanent and restore the heap hooks. *)
+(** Make the speculative writes permanent and close the heap's log. *)
 val commit : tx -> unit
 
-(** Undo every speculative write (newest first) and restore the hooks. *)
+(** Undo every speculative write (newest first) and close the log. *)
 val rollback : tx -> unit

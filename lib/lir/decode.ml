@@ -33,7 +33,7 @@ module Intrinsics = Nomap_runtime.Intrinsics
 
     This is pure host-side memoization: a hit skips re-hashing the property
     name and re-walking the shape's slot table, but the executing machine
-    still fires the identical [note_load]/[note_store] hooks and charges the
+    still makes the identical [note_load]/[note_store] calls and charges the
     identical cost, so no modeled counter can move (DESIGN.md §14).  The
     cache keys on the simulated shape id, which is deterministic; caches die
     with the decoded artifact when the tier pipeline recompiles, exactly
@@ -164,7 +164,7 @@ let free_map (f : Lir.func) =
 
 (** Fusion-candidate classifier.  A kind is [pure] when executing it can
     neither raise (no checks, no calls, no allocation failure paths) nor
-    touch heap hooks (which abort transactions on capacity overflow) nor
+    touch the transaction log (which aborts on capacity overflow) nor
     change the transaction/ghost category (no tx markers).  Within a run
     of pure instructions the machine's per-instruction accounting —
     category, in-transaction flag, watchdog headroom — is invariant, so an
@@ -172,9 +172,9 @@ let free_map (f : Lir.func) =
     replicates the per-instruction cycle-accumulation order bit-exactly.
 
     Note [Load_global]/[Store_global] qualify: the global table is not
-    routed through heap hooks (globals live outside the transactional
-    footprint model).  [Str_length] reads a cached length, no hook;
-    [Load_char_code] does fire a load hook and stays out. *)
+    routed through the transaction log (globals live outside the
+    transactional footprint model).  [Str_length] reads a cached length,
+    no load; [Load_char_code] does log a load and stays out. *)
 let pure_kind = function
   | Lir.Nop | Lir.Phi _ | Lir.Param _ | Lir.Const _ | Lir.Iadd _ | Lir.Isub _ | Lir.Imul _
   | Lir.Ineg _ | Lir.Iadd_wrap _ | Lir.Isub_wrap _ | Lir.Fadd _ | Lir.Fsub _

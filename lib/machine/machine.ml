@@ -12,9 +12,9 @@
     - counting executed checks by kind (Figure 3);
     - charging the cycle model (Figures 10/11);
     - executing transactional semantics: Tx_begin checkpoints the live
-      registers (like XBegin), speculative writes are journaled via the heap
-      hooks, and an abort rolls the heap back and resumes the Baseline tier
-      at the region entry — the control flow of paper Figure 5(b);
+      registers (like XBegin), speculative writes are journaled in the
+      heap's transaction log, and an abort rolls the heap back and resumes
+      the Baseline tier at the region entry — the control flow of paper Figure 5(b);
     - performing OSR exits: a failing Deopt check materializes its stack map
       into a Baseline frame and the rest of the function runs there.
 
@@ -113,20 +113,20 @@ let charge_runtime env n =
     if in_region env then f.Counters.tx_cycles <- f.Counters.tx_cycles +. c
   end
 
-(** RTM transactional reads are ~20% slower (paper §VI-B).  The HTM load
-    hook counts every in-transaction read in [tx.reads]; the penalty is
-    charged in one multiply when the transaction finishes (commit or abort)
-    — cycle-identical to per-read charging, but the hot hook stays a bare
-    increment. *)
+(** RTM transactional reads are ~20% slower (paper §VI-B).  The heap's
+    transaction log counts every in-transaction read in [log.reads]; the
+    penalty is charged in one multiply when the transaction finishes
+    (commit or abort) — cycle-identical to per-read charging, but the hot
+    load path stays a bare increment. *)
 let charge_rtm_reads env (tx : Htm.tx) =
-  if tx.Htm.mode = Htm.Rtm && tx.Htm.reads > 0 then
+  if tx.Htm.mode = Htm.Rtm && tx.Htm.log.Heap.reads > 0 then
     Counters.add_cycles env.counters ~in_tx:true
-      (float_of_int tx.Htm.reads *. Timing.rtm_read_penalty)
+      (float_of_int tx.Htm.log.Heap.reads *. Timing.rtm_read_penalty)
 
 (** Overhead of a hybrid transaction that fell back to the modeled software
     transaction (DESIGN.md §15), computed in ONE fixed-order accumulation at
     the transaction's single finish point (the outermost [Tx_end], or
-    [handle_abort]).  Charging here instead of inside the heap hooks keeps
+    [handle_abort]).  Charging here instead of on each logged access keeps
     the floating-point accumulation order independent of how the engine
     interleaves its instruction charges (per instruction, or batched per
     segment), which the bit-exact cross-mode counter contract requires.
@@ -145,7 +145,8 @@ let stm_overhead_cycles env (tx : Htm.tx) ~committed =
   let scale = float_of_int env.capacity_scale in
   let pr = float_of_int tx.Htm.stm_prefix_reads
   and pw = float_of_int tx.Htm.stm_prefix_writes in
-  let ar = float_of_int tx.Htm.reads and aw = float_of_int tx.Htm.writes in
+  let ar = float_of_int tx.Htm.log.Heap.reads in
+  let aw = float_of_int tx.Htm.log.Heap.writes in
   Timing.abort_cycles
   +. (pr *. Timing.rtm_read_penalty)
   +. (Timing.stm_begin_cycles /. scale)
@@ -160,8 +161,8 @@ let charge_stm_finish env (tx : Htm.tx) ~committed =
   let c = env.counters in
   if committed then c.Counters.stm_commits <- c.Counters.stm_commits + 1
   else c.Counters.stm_aborts <- c.Counters.stm_aborts + 1;
-  c.Counters.stm_reads <- c.Counters.stm_reads + tx.Htm.reads;
-  c.Counters.stm_writes <- c.Counters.stm_writes + tx.Htm.writes;
+  c.Counters.stm_reads <- c.Counters.stm_reads + tx.Htm.log.Heap.reads;
+  c.Counters.stm_writes <- c.Counters.stm_writes + tx.Htm.log.Heap.writes;
   let over = stm_overhead_cycles env tx ~committed in
   (* An aborted software transaction's overhead lands outside tx time, like
      the hardware abort penalty does. *)
@@ -286,8 +287,9 @@ let ic_slot (c : D.ic) (o : Value.obj) sym =
     slot
   end
 
-(** Cached property read: identical hooks to [Heap.get_prop] (one shape-word
-    load, then the slot load on presence), minus the host-side hashing. *)
+(** Cached property read: identical heap traffic to [Heap.get_prop] (one
+    shape-word load, then the slot load on presence), minus the host-side
+    hashing. *)
 let ic_get_prop env heap (c : D.ic option) (o : Value.obj) name =
   match c with
   | Some c when env.host_ic ->
@@ -383,7 +385,7 @@ let prof_slot_of = function
     intrinsic 6 + static + dynamic) before executing, then reads its
     operands straight out of the value array — no [List.nth].  [ic] is the
     call site's host inline cache (property/method sites only); it changes
-    no hook sequence and no charge. *)
+    no logged access sequence and no charge. *)
 let exec_runtime_uninstrumented env ~(ic : D.ic option) rt (recv : Value.t)
     (ids : int array) (values : Value.t array) : Value.t =
   let heap = env.instance.Instance.heap in
@@ -595,8 +597,8 @@ let exec_tx_end env =
              | _ -> Timing.xend_rot_cycles)
             /. float_of_int env.capacity_scale));
         Counters.record_commit env.counters
-          ~write_kb:(Footprint.kb tx.Htm.write_fp)
-          ~assoc:(Footprint.max_ways tx.Htm.write_fp);
+          ~write_kb:(Footprint.kb tx.Htm.log.Heap.write_fp)
+          ~assoc:(Footprint.max_ways tx.Htm.log.Heap.write_fp);
         Htm.commit tx;
         env.tx <- None
       end)

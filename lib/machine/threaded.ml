@@ -33,7 +33,7 @@
     Deferral is exact because no instruction inside a segment *observes*
     the counters; the reordering could show only if the segment ends
     early.  Instructions that can raise or abort (checks → deopt;
-    heap-hook touchers → capacity aborts; allocs) therefore record how
+    logged heap accesses → capacity aborts; allocs) therefore record how
     many instructions' accounting is due ([st.due]) before their semantics
     run, and the segment's exception guard reconciles exactly that prefix
     — the per-instruction counter state — before re-raising.  Pure

@@ -1,28 +1,37 @@
 (** The simulated heap: allocation with simulated addresses, plus every
     object/array/string access path.
 
-    All memory traffic funnels through [note_load]/[note_store] hooks so the
-    HTM layer can journal transactional writes (for rollback and write-set
-    footprint) and the cache model can observe addresses.  Outside
-    transactions the hooks are no-ops, and [hooks.active] says so up front:
-    the hot paths test one boolean instead of calling a no-op closure — and,
-    for stores, instead of allocating an undo closure nobody will run.
-    Installing hooks (the HTM layer, tests) must set [active].
+    All memory traffic funnels through [note_load]/[note_store].  The heap
+    owns the one transaction log: while a transaction is open (the HTM
+    layer installs [log] at XBegin and clears it at commit or rollback),
+    every load and store appends to it directly — undo closure, read/write
+    counts, and the cache-line footprints that decide capacity.  ROT, RTM
+    and the STM fallback differ only in its [hardware] flag and footprints.
+    Outside transactions [log] is [None]: the hot paths test that one
+    field, call nothing and allocate no undo closure.
 
     Addresses are fictitious but behave like real ones: allocation bumps a
     pointer, property storage and array storage get their own regions, and
     growing an array moves its storage to a fresh region (butterfly
     reallocation in JavaScriptCore terms). *)
 
-type hooks = {
-  mutable active : bool;
-      (** hooks are installed; when false no hook is called (and no undo
-          closure is allocated) *)
-  mutable load : int -> int -> unit;  (** addr, bytes *)
-  mutable store : int -> int -> (unit -> unit) -> unit;  (** addr, bytes, undo *)
-  mutable io : unit -> unit;
-      (** called before any observable I/O; a transaction installs an
-          irrevocability guard here (paper V-A) *)
+module Footprint = Nomap_cache.Footprint
+
+(** The rare events the log cannot settle itself. *)
+type limit =
+  | Write_set_full  (** a store overflowed the hardware write footprint *)
+  | Read_set_full  (** a load overflowed the hardware read footprint (RTM) *)
+  | Io  (** observable I/O attempted inside the transaction (paper V-A) *)
+
+(** The transaction log of the open transaction. *)
+type log = {
+  mutable undo : (unit -> unit) list;  (** newest first *)
+  mutable reads : int;
+  mutable writes : int;
+  write_fp : Footprint.t;  (** recorded in every mode (Table IV) *)
+  read_fp : Footprint.t option;  (** RTM only *)
+  mutable hardware : bool;  (** enforce capacity, track reads; cleared by the STM upgrade *)
+  on_limit : limit -> unit;  (** the HTM policy: abort, or upgrade to STM and return *)
 }
 
 (** Operations on the VM's attached shared segment (SharedArrayBuffer-style;
@@ -47,16 +56,13 @@ type t = {
   mutable next_aid : int;
   mutable next_sid : int;
   shapes : Shape.universe;
-  hooks : hooks;
+  mutable log : log option;  (** the open transaction's log *)
   prng : Nomap_util.Prng.t;  (** backs Math.random deterministically *)
   mutable bytes_allocated : int;
   mutable shared : (shared_op -> Value.t list -> Value.t) option;
       (** agent-runtime dispatch for [shared_op]; [None] until an agent
           attaches a segment (Agent.install) *)
 }
-
-let no_hooks () =
-  { active = false; load = (fun _ _ -> ()); store = (fun _ _ _ -> ()); io = (fun () -> ()) }
 
 let create ?(seed = 42) () =
   {
@@ -65,7 +71,7 @@ let create ?(seed = 42) () =
     next_aid = 0;
     next_sid = 0;
     shapes = Shape.create_universe ();
-    hooks = no_hooks ();
+    log = None;
     prng = Nomap_util.Prng.create ~seed;
     bytes_allocated = 0;
     shared = None;
@@ -73,7 +79,32 @@ let create ?(seed = 42) () =
 
 let word_bytes = 8
 
-let[@inline] note_load t addr bytes = if t.hooks.active then t.hooks.load addr bytes
+(** Journal a load: counted in every mode, footprint-tracked by RTM
+    hardware only. *)
+let log_load l addr bytes =
+  l.reads <- l.reads + 1;
+  if l.hardware then
+    match l.read_fp with
+    | Some fp -> if not (Footprint.touch fp ~addr ~bytes) then l.on_limit Read_set_full
+    | None -> ()
+
+(** Journal a store to [addr]; [undo] restores the old contents.  The write
+    footprint is recorded in every mode; only hardware enforces it. *)
+let log_store l addr bytes undo =
+  l.undo <- undo :: l.undo;
+  l.writes <- l.writes + 1;
+  if (not (Footprint.touch l.write_fp ~addr ~bytes)) && l.hardware then
+    l.on_limit Write_set_full
+
+let[@inline] note_load t addr bytes =
+  match t.log with None -> () | Some l -> log_load l addr bytes
+
+let note_store t addr bytes undo =
+  match t.log with None -> () | Some l -> log_store l addr bytes undo
+
+(** Called before any observable I/O: inside a transaction the I/O is
+    irrevocable, so the log's policy aborts. *)
+let note_io t = match t.log with None -> () | Some l -> l.on_limit Io
 
 let alloc_region t bytes =
   let bytes = (bytes + 15) land lnot 15 in
@@ -120,10 +151,11 @@ let load_slot t (o : Value.obj) slot =
 
 (** Write a property slot directly (fast path after a shape check). *)
 let store_slot t (o : Value.obj) slot v =
-  if t.hooks.active then begin
+  (match t.log with
+  | Some l ->
     let old = o.Value.slots.(slot) in
-    t.hooks.store (slot_addr o slot) word_bytes (fun () -> o.Value.slots.(slot) <- old)
-  end;
+    log_store l (slot_addr o slot) word_bytes (fun () -> o.Value.slots.(slot) <- old)
+  | None -> ());
   o.Value.slots.(slot) <- v
 
 (** Generic property read by pre-resolved slot (the host-IC hit path): the
@@ -159,14 +191,15 @@ let transition_store t (o : Value.obj) new_shape slot v =
     if need_grow then alloc_region t (Array.length new_slots * word_bytes)
     else o.Value.slots_addr
   in
-  if t.hooks.active then begin
+  (match t.log with
+  | Some l ->
     let old_shape = o.Value.shape in
     let old_slots_addr = o.Value.slots_addr in
-    t.hooks.store o.Value.oaddr word_bytes (fun () ->
+    log_store l o.Value.oaddr word_bytes (fun () ->
         o.Value.shape <- old_shape;
         o.Value.slots <- old_slots;
         o.Value.slots_addr <- old_slots_addr)
-  end;
+  | None -> ());
   o.Value.shape <- new_shape;
   o.Value.slots <- new_slots;
   o.Value.slots_addr <- new_slots_addr;
@@ -214,10 +247,11 @@ let load_elem t (a : Value.arr) i =
     at abort. *)
 let store_elem t (a : Value.arr) i v =
   if i >= 0 && i < Array.length a.Value.elems then begin
-    if t.hooks.active then begin
+    (match t.log with
+    | Some l ->
       let old = a.Value.elems.(i) in
-      t.hooks.store (elem_addr a i) word_bytes (fun () -> a.Value.elems.(i) <- old)
-    end;
+      log_store l (elem_addr a i) word_bytes (fun () -> a.Value.elems.(i) <- old)
+    | None -> ());
     a.Value.elems.(i) <- v
   end
 
@@ -227,20 +261,22 @@ let grow_array t (a : Value.arr) needed =
   let grown = Array.make capacity Value.Hole in
   Array.blit old_elems 0 grown 0 (Array.length old_elems);
   let grown_addr = alloc_region t (capacity * word_bytes) in
-  if t.hooks.active then begin
+  (match t.log with
+  | Some l ->
     let old_elems_addr = a.Value.elems_addr in
-    t.hooks.store a.Value.aaddr word_bytes (fun () ->
+    log_store l a.Value.aaddr word_bytes (fun () ->
         a.Value.elems <- old_elems;
         a.Value.elems_addr <- old_elems_addr)
-  end;
+  | None -> ());
   a.Value.elems <- grown;
   a.Value.elems_addr <- grown_addr
 
 let set_length t (a : Value.arr) len =
   let old_len = a.Value.alen in
   if len <> old_len then begin
-    if t.hooks.active then
-      t.hooks.store a.Value.aaddr word_bytes (fun () -> a.Value.alen <- old_len);
+    (match t.log with
+    | Some l -> log_store l a.Value.aaddr word_bytes (fun () -> a.Value.alen <- old_len)
+    | None -> ());
     a.Value.alen <- len
   end
 
@@ -283,9 +319,10 @@ let array_pop t (a : Value.arr) =
 (* Math.random mutates the PRNG: journal the state like any store so a
    transactional rollback replays the same sequence. *)
 let math_random t =
-  if t.hooks.active then begin
+  (match t.log with
+  | Some l ->
     let saved = Nomap_util.Prng.state t.prng in
-    t.hooks.store 8 (* fixed pseudo-address for the PRNG cell *) 8 (fun () ->
+    log_store l 8 (* fixed pseudo-address for the PRNG cell *) 8 (fun () ->
         Nomap_util.Prng.set_state t.prng saved)
-  end;
+  | None -> ());
   Nomap_util.Prng.float t.prng 1.0

@@ -352,10 +352,10 @@ let eval heap intr (recv : Value.t) (args : Value.t list) : Value.t =
     in
     Heap.str heap (String.concat sep parts)
   | Global_print ->
-    (* I/O is irrevocable inside a hardware transaction: the guard aborts
+    (* I/O is irrevocable inside a transaction: [note_io] aborts it
        before anything escapes, and Baseline re-runs the region (printing
        exactly once). *)
-    if heap.Heap.hooks.active then heap.Heap.hooks.io ();
+    Heap.note_io heap;
     print_endline (String.concat " " (List.map Value.to_js_string args));
     Value.Undef
   | Global_parse_int ->

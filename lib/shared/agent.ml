@@ -301,7 +301,8 @@ let op_class : Heap.shared_op -> op_class = function
   | Heap.Sh_fence -> Op_fence
   | Heap.Sh_size -> Op_load  (* never dispatched: answered without a turn *)
 
-(** One shared operation: take a scheduler turn, feed the heap hooks (so
+(** One shared operation: take a scheduler turn, journal the access in the
+    heap's transaction log through [Heap.note_load]/[note_store] (so
     in-transaction segment traffic counts against HTM capacity and STM
     access overheads exactly like private-heap traffic — synthetic segment
     addresses, no-op undo since the redo buffer owns rollback), then
@@ -316,7 +317,6 @@ let dispatch ag heap (op : Heap.shared_op) (args : Value.t list) : Value.t =
     Interleave.begin_op reg.sched ~agent:ag.id;
     Fun.protect ~finally:(fun () -> Interleave.end_op reg.sched ~agent:ag.id)
     @@ fun () ->
-    let hooks = heap.Heap.hooks in
     let result =
       match op with
       | Heap.Sh_fence ->
@@ -327,12 +327,11 @@ let dispatch ag heap (op : Heap.shared_op) (args : Value.t list) : Value.t =
         let addr = Segment.addr_of seg idx in
         (match op with
         | Heap.Sh_read | Heap.Sh_load ->
-          if hooks.Heap.active then hooks.Heap.load addr Segment.word_bytes;
+          Heap.note_load heap addr Segment.word_bytes;
           Value.int_ (with_lock reg (fun () -> read_idx ag idx))
         | Heap.Sh_write | Heap.Sh_store ->
           let v = Ops.wrap_int32 (Value.to_int32 (arg 1 args)) in
-          if hooks.Heap.active then
-            hooks.Heap.store addr Segment.word_bytes (fun () -> ());
+          Heap.note_store heap addr Segment.word_bytes ignore;
           with_lock reg (fun () -> write_idx ag idx v);
           Value.int_ v
         | Heap.Sh_add | Heap.Sh_sub | Heap.Sh_exchange ->
@@ -343,19 +342,15 @@ let dispatch ag heap (op : Heap.shared_op) (args : Value.t list) : Value.t =
             | Heap.Sh_sub -> Ops.wrap_int32 (old - operand)
             | _ -> Ops.wrap_int32 operand
           in
-          if hooks.Heap.active then begin
-            hooks.Heap.load addr Segment.word_bytes;
-            hooks.Heap.store addr Segment.word_bytes (fun () -> ())
-          end;
+          Heap.note_load heap addr Segment.word_bytes;
+          Heap.note_store heap addr Segment.word_bytes ignore;
           Value.int_ (with_lock reg (fun () -> rmw_idx ag idx f))
         | Heap.Sh_cas ->
           let expected = Value.to_int32 (arg 1 args) in
           let repl = Ops.wrap_int32 (Value.to_int32 (arg 2 args)) in
           let f old = if old = expected then repl else old in
-          if hooks.Heap.active then begin
-            hooks.Heap.load addr Segment.word_bytes;
-            hooks.Heap.store addr Segment.word_bytes (fun () -> ())
-          end;
+          Heap.note_load heap addr Segment.word_bytes;
+          Heap.note_store heap addr Segment.word_bytes ignore;
           Value.int_ (with_lock reg (fun () -> rmw_idx ag idx f))
         | Heap.Sh_size | Heap.Sh_fence -> assert false)
     in

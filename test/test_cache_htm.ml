@@ -97,7 +97,8 @@ let test_htm_write_footprint_tracked () =
   done;
   (* 64 elements * 8B = 512B = 8 lines. *)
   Alcotest.(check bool) "footprint ~8 lines" true
-    (Footprint.bytes tx.Htm.write_fp >= 8 * 64 && Footprint.bytes tx.Htm.write_fp <= 10 * 64);
+    (Footprint.bytes tx.Htm.log.Heap.write_fp >= 8 * 64
+    && Footprint.bytes tx.Htm.log.Heap.write_fp <= 10 * 64);
   Htm.commit tx
 
 let test_htm_rtm_read_tracking () =
@@ -110,15 +111,13 @@ let test_htm_rtm_read_tracking () =
   for i = 0 to 63 do
     ignore (Heap.get_elem heap arr i)
   done;
-  (match tx.Htm.read_fp with
+  (match tx.Htm.log.Heap.read_fp with
   | Some fp -> Alcotest.(check bool) "reads tracked" true (Footprint.bytes fp > 0)
   | None -> Alcotest.fail "RTM must track reads");
-  Alcotest.(check bool) "ROT does not track reads" true
-    ((Htm.begin_tx heap ~mode:Htm.Rot ~snapshot:[] ~resume_pc:0 ~owner_frame:0).Htm.read_fp
-    = None);
-  Heap.(heap.hooks.load <- (fun _ _ -> ()));
-  Heap.(heap.hooks.store <- (fun _ _ _ -> ()));
-  Heap.(heap.hooks.active <- false)
+  Htm.commit tx;
+  let rot = Htm.begin_tx heap ~mode:Htm.Rot ~snapshot:[] ~resume_pc:0 ~owner_frame:0 in
+  Alcotest.(check bool) "ROT does not track reads" true (rot.Htm.log.Heap.read_fp = None);
+  Htm.commit rot
 
 let test_htm_capacity_abort () =
   let heap = Heap.create () in
@@ -158,11 +157,12 @@ let test_htm_stm_fallback_commits () =
   | [ Htm.Capacity_write ] -> ()
   | _ -> Alcotest.failf "expected exactly one averted Capacity_write, got %d" (List.length !averted));
   Alcotest.(check bool) "prefix marks set" true
-    (tx.Htm.stm_prefix_writes > 0 && tx.Htm.stm_prefix_writes < tx.Htm.writes);
-  Alcotest.(check int) "all writes counted" 5000 tx.Htm.writes;
+    (tx.Htm.stm_prefix_writes > 0
+    && tx.Htm.stm_prefix_writes < tx.Htm.log.Heap.writes);
+  Alcotest.(check int) "all writes counted" 5000 tx.Htm.log.Heap.writes;
   (* The write footprint keeps accumulating past the overflow (Table IV). *)
   Alcotest.(check bool) "footprint covers the whole write set" true
-    (Footprint.bytes tx.Htm.write_fp >= 5000 * 8);
+    (Footprint.bytes tx.Htm.log.Heap.write_fp >= 5000 * 8);
   Htm.commit tx;
   Alcotest.(check string) "first write survives" "0"
     (Value.to_js_string (Heap.get_elem heap arr 0));
@@ -191,14 +191,26 @@ let test_htm_stm_rollback_restores () =
   Alcotest.(check string) "speculative suffix write gone" "undefined"
     (Value.to_js_string (Heap.get_elem heap arr 4999))
 
+(* Small geometries so sets overflow: line count, maximum associativity and
+   the fit verdict must match a brute-force count of distinct lines per set. *)
 let qcheck_footprint_line_count =
   QCheck2.Test.make ~name:"footprint counts distinct lines" ~count:200
-    QCheck2.Gen.(list_size (int_range 1 100) (int_range 0 100_000))
-    (fun addrs ->
-      let fp = Footprint.create ~sets:1024 ~ways:1024 ~line_bytes:64 in
-      List.iter (fun a -> ignore (Footprint.touch fp ~addr:a ~bytes:1)) addrs;
-      let distinct = List.sort_uniq compare (List.map (fun a -> a / 64) addrs) in
-      Footprint.bytes fp = 64 * List.length distinct)
+    QCheck2.Gen.(
+      triple (int_range 1 8) (int_range 1 4)
+        (list_size (int_range 1 100) (pair (int_range 0 100_000) (int_range 1 130))))
+    (fun (sets, ways, accesses) ->
+      let fp = Footprint.create ~sets ~ways ~line_bytes:64 in
+      List.iter (fun (addr, bytes) -> ignore (Footprint.touch fp ~addr ~bytes)) accesses;
+      let lines_of (a, b) =
+        List.init (((a + b - 1) / 64) - (a / 64) + 1) (fun k -> (a / 64) + k)
+      in
+      let distinct = List.sort_uniq compare (List.concat_map lines_of accesses) in
+      let per_set = Array.make sets 0 in
+      List.iter (fun line -> per_set.(line mod sets) <- per_set.(line mod sets) + 1) distinct;
+      let max_ways = Array.fold_left max 0 per_set in
+      Footprint.bytes fp = 64 * List.length distinct
+      && Footprint.max_ways fp = max_ways
+      && Footprint.fits fp = (max_ways <= ways))
 
 let qcheck_rollback_is_identity =
   QCheck2.Test.make ~name:"tx rollback restores arbitrary write sequences" ~count:100

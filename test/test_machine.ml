@@ -133,11 +133,16 @@ let test_print_in_tx_is_irrevocable () =
      { result = bench(it); } result = bench(77);"
   in
   let expected = Helpers.run_result src in
-  let t = run src in
-  Alcotest.(check string) "correct with io" expected (result_of t);
-  Alcotest.(check bool) "irrevocable abort recorded" true
-    (Hashtbl.mem (Vm.counters t).Counters.abort_reasons "irrevocable-io"
-    || Hashtbl.length (Vm.counters t).Counters.abort_reasons > 0)
+  List.iter
+    (fun arch ->
+      let t = run ~arch src in
+      let name = Config.name arch in
+      Alcotest.(check string) ("correct with io under " ^ name) expected (result_of t);
+      Alcotest.(check (option int))
+        ("exactly one irrevocable abort under " ^ name)
+        (Some 1)
+        (Hashtbl.find_opt (Vm.counters t).Counters.abort_reasons "irrevocable-io"))
+    [ Config.NoMap_full; Config.NoMap_RTM; Config.NoMap_RTM_STM ]
 
 let test_math_random_rolls_back () =
   (* Math.random's PRNG state is journaled: a rollback replays the same

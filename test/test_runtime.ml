@@ -120,18 +120,26 @@ let test_store_hook_undo () =
   let h = heap () in
   let a = Heap.alloc_array h 3 in
   Heap.set_elem h a 0 (Value.Int 1);
-  (* Install a journaling hook, mutate, then undo: state must be restored. *)
-  let undos = ref [] in
-  h.Heap.hooks.store <- (fun _ _ undo -> undos := undo :: !undos);
-  h.Heap.hooks.active <- true;
+  (* Install a transaction log, mutate, then undo: state must be restored. *)
+  let log =
+    {
+      Heap.undo = [];
+      reads = 0;
+      writes = 0;
+      write_fp = Nomap_cache.Footprint.l2 ();
+      read_fp = None;
+      hardware = false;
+      on_limit = ignore;
+    }
+  in
+  h.Heap.log <- Some log;
   Heap.set_elem h a 0 (Value.Int 42);
   Heap.set_elem h a 10 (Value.Int 7);
   let o = Heap.alloc_object h in
   Heap.set_prop h o "x" (Value.Int 5);
-  h.Heap.hooks.active <- false;
-  h.Heap.hooks.store <- (fun _ _ _ -> ());
+  h.Heap.log <- None;
   Alcotest.(check string) "mutated" "42" (Value.to_js_string (Heap.get_elem h a 0));
-  List.iter (fun undo -> undo ()) !undos;
+  List.iter (fun undo -> undo ()) log.Heap.undo;
   Alcotest.(check string) "elem restored" "1" (Value.to_js_string (Heap.get_elem h a 0));
   Alcotest.(check int) "length restored" 3 a.Value.alen;
   Alcotest.(check string) "prop restored" "undefined"

@@ -156,6 +156,49 @@ let test_two_agents_ftl_conflicts () =
     "per-VM abort breakdown records conflicts" true
     (aborts_of 0 + aborts_of 1 > 0)
 
+(* [Test_engine.spray_kernel] with an [Atomics.add] in its overflowing
+   loop: under NoMap_RTM_STM at FTL every transaction overflows its scaled
+   write footprint and upgrades to the software redo log, so the agents'
+   commits go through NOrec value validation. *)
+let stm_fallback_run ~seed =
+  let src =
+    "function benchmark() { var a = new Array(8192); for (var i = 0; i < 12; i++) { a[i * \
+     512] = i; Atomics.add(0, 1); } var s = 0; for (var j = 0; j < 2000; j++) { s = (s + j \
+     * 7) & 0xFFFFF; } return s + a[512]; } var it; var result = 0; for (it = 0; it < 30; \
+     it++) { result = benchmark(); }"
+  in
+  let r =
+    Agents.run
+      ~policy:(Interleave.Seeded seed)
+      ~config:(Config.create Config.NoMap_RTM_STM) ~tier_cap:Vm.Cap_ftl
+      (Array.map Helpers.compile [| src; src |])
+  in
+  Array.iter
+    (fun (o : Agents.outcome) ->
+      match o.Agents.result with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "agent failed: %s" msg)
+    r.Agents.outcomes;
+  let sum field =
+    Array.fold_left
+      (fun acc (o : Agents.outcome) ->
+        match o.Agents.vm with Some vm -> acc + field (Vm.counters vm) | None -> acc)
+      0 r.Agents.outcomes
+  in
+  (r.Agents.segment_data.(0), sum (fun c -> c.Counters.stm_commits),
+   sum (fun c -> c.Counters.stm_aborts))
+
+(** Multi-agent STM fallback: fallen-back transactions validate their
+    segment reads at commit (NOrec); a failed validation is a [conflict]
+    software abort whose retry re-applies the increments exactly once. *)
+let test_two_agents_stm_fallback () =
+  let count, commits, _ = stm_fallback_run ~seed:3 in
+  Alcotest.(check int) "exact count, seed 3" (2 * 30 * 12) count;
+  Alcotest.(check bool) "software commits" true (commits > 0);
+  let count, _, aborts = stm_fallback_run ~seed:11 in
+  Alcotest.(check int) "exact count, seed 11" (2 * 30 * 12) count;
+  Alcotest.(check bool) "software aborts" true (aborts > 0)
+
 (** Deterministic replay: the same (programs, seed, policy) triple is
     bit-identical — results, segment image, checksum and conflict count. *)
 let test_seeded_replay_deterministic () =
@@ -184,6 +227,8 @@ let tests =
     Alcotest.test_case "shared: two interp agents, exact count" `Quick test_two_agents_interp;
     Alcotest.test_case "shared: FTL contention, conflict aborts" `Quick
       test_two_agents_ftl_conflicts;
+    Alcotest.test_case "shared: STM fallback, NOrec validation" `Quick
+      test_two_agents_stm_fallback;
     Alcotest.test_case "shared: seeded replay determinism" `Quick
       test_seeded_replay_deterministic;
   ]
