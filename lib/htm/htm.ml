@@ -21,17 +21,19 @@
       configuration so instruction accounting can still classify code by
       transaction region (paper Figures 8-11 break Base down the same way).
 
-    The bookkeeping of every mode is the heap's one transaction log
-    ([Heap.log]): the heap appends undo closures, read/write counts and
-    footprints to it directly.  This module only opens the log (choosing
+    The bookkeeping of every mode is the heap's: a per-transaction log
+    ([Heap.log]: read/write counts and footprints) plus the heap's one
+    flat undo journal, reused by every transaction on that heap.  The heap
+    appends to both directly.  This module only opens the log (choosing
     the footprints and the [hardware] flag), sets its policy for the rare
-    events ([on_limit]: capacity overflow and I/O), and closes it.
-    Rollback runs the log's undo closures: the paper's hardware buffers
-    speculative lines in the cache; we restore mutated locations instead,
-    which is observationally identical for a single-threaded run.  The STM
-    mode reuses the same log (our host-side journal stands in for the STM's
-    redo log — both make the region's writes revocable, and for a
-    single-threaded run commit/abort outcomes are indistinguishable). *)
+    events ([on_limit]: capacity overflow and I/O), and closes it through
+    [Heap.close_log].  Rollback replays the journal newest first: the
+    paper's hardware buffers speculative lines in the cache; we restore
+    mutated locations instead, which is observationally identical for a
+    single-threaded run.  The STM mode reuses the same journal (our
+    host-side undo journal stands in for the STM's redo log — both make the
+    region's writes revocable, and for a single-threaded run commit/abort
+    outcomes are indistinguishable). *)
 
 module Heap = Nomap_runtime.Heap
 module Value = Nomap_runtime.Value
@@ -87,7 +89,7 @@ type tx = {
     in place: mark how much work the doomed hardware attempt had done (the
     timing model charges its re-execution), flip the mode, and clear the
     log's [hardware] flag: capacity is no longer enforced and reads no
-    longer tracked.  The undo log persists across the transition, so a
+    longer tracked.  The undo journal persists across the transition, so a
     later rollback (failed in-tx check) still restores the pre-[begin_tx]
     heap exactly.  In-place upgrade is observationally identical to
     "abort, then re-execute the region under STM" for a deterministic
@@ -130,8 +132,7 @@ let begin_tx ?(capacity_scale = 1) ?stm_fallback heap ~mode ~snapshot ~resume_pc
       heap;
       log =
         {
-          Heap.undo = [];
-          reads = 0;
+          Heap.reads = 0;
           writes = 0;
           write_fp = (if mode = Rtm then Footprint.l1d else Footprint.l2) ~scale:capacity_scale ();
           read_fp = (if mode = Rtm then Some (Footprint.l2 ~scale:capacity_scale ()) else None);
@@ -148,19 +149,14 @@ let begin_tx ?(capacity_scale = 1) ?stm_fallback heap ~mode ~snapshot ~resume_pc
       stm_prefix_writes = 0;
     }
   in
-  if mode <> Ghost then heap.Heap.log <- Some tx.log;
+  if mode <> Ghost then Heap.open_log heap tx.log;
   tx
 
 (** Commit: speculative writes become permanent.  (The 5-cycle SW-bit
     flash-clear / 13-cycle RTM drain — and the STM write-back/validation —
-    is charged by the timing model, not here.)  Drops the undo closures so
-    a retained [tx] does not keep the journaled old values alive. *)
-let commit tx =
-  tx.heap.Heap.log <- None;
-  tx.log.Heap.undo <- []
+    is charged by the timing model, not here.)  Clears the journal so the
+    old values it held can be collected. *)
+let commit tx = Heap.close_log tx.heap ~rollback:false
 
 (** Abort: undo every speculative write, newest first, and drop the tx. *)
-let rollback tx =
-  tx.heap.Heap.log <- None;
-  List.iter (fun undo -> undo ()) tx.log.Heap.undo;
-  tx.log.Heap.undo <- []
+let rollback tx = Heap.close_log tx.heap ~rollback:true

@@ -12,12 +12,13 @@
     - [Ghost]: no transactional semantics; used by the Base configuration
       purely for instruction-category accounting.
 
-    Every mode's bookkeeping is the heap's one transaction log
-    ([Nomap_runtime.Heap.log]), which the heap appends to directly; this
-    module opens it, sets its policy for capacity overflow and I/O, and
-    closes it.  Rollback runs the log's undo closures: the real hardware
-    buffers speculative lines in the cache; restoring mutated locations is
-    observationally identical for a single-threaded run. *)
+    Every mode's bookkeeping is the heap's: a per-transaction log
+    ([Nomap_runtime.Heap.log]: counts and footprints) plus the heap's one
+    flat undo journal, both appended to by the heap directly; this module
+    opens the log, sets its policy for capacity overflow and I/O, and
+    closes it.  Rollback replays the journal newest first: the real
+    hardware buffers speculative lines in the cache; restoring mutated
+    locations is observationally identical for a single-threaded run. *)
 
 type mode = Rot | Rtm | Stm | Ghost
 
@@ -45,8 +46,9 @@ type tx = {
           on capacity overflow *)
   heap : Nomap_runtime.Heap.t;
   log : Nomap_runtime.Heap.log;
-      (** undo, read/write counts and footprints; installed as the heap's
-          [log] while the transaction is open (never for [Ghost]) *)
+      (** read/write counts and footprints; installed as the heap's [log]
+          while the transaction is open (never for [Ghost]); the undo
+          entries live in the heap's journal *)
   mutable sof : bool;  (** sticky overflow flag *)
   mutable nesting : int;  (** flattened nesting depth *)
   snapshot : (int * Nomap_runtime.Value.t) list;

@@ -534,7 +534,7 @@ let compile_func env ~tier ~engine (d : D.t) : tfunc =
          | Value.Arr arr
            when idx >= 0
                 && idx < Array.length arr.Value.elems
-                && Heap.load_elem heap arr idx <> Value.Hole ->
+                && (match Heap.load_elem heap arr idx with Value.Hole -> false | _ -> true) ->
            if not el then bump_check cnt ci_hole;
            set st.values v (int_ idx)
          | _ -> check_fail env st.values e L.Hole);

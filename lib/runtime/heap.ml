@@ -2,13 +2,16 @@
     object/array/string access path.
 
     All memory traffic funnels through [note_load]/[note_store].  The heap
-    owns the one transaction log: while a transaction is open (the HTM
-    layer installs [log] at XBegin and clears it at commit or rollback),
-    every load and store appends to it directly — undo closure, read/write
-    counts, and the cache-line footprints that decide capacity.  ROT, RTM
-    and the STM fallback differ only in its [hardware] flag and footprints.
-    Outside transactions [log] is [None]: the hot paths test that one
-    field, call nothing and allocate no undo closure.
+    owns the transaction bookkeeping.  While a transaction is open (the HTM
+    layer opens [log] at XBegin and closes it at commit or rollback), every
+    load and store appends to it directly: read/write counts and the
+    cache-line footprints that decide capacity go to the per-transaction
+    [log]; old values go to the heap's one flat undo [journal], which every
+    transaction on this heap reuses.  ROT, RTM and the STM fallback differ
+    only in the log's [hardware] flag and footprints.  Outside transactions
+    [log] is [None]: the hot paths test that one field and call nothing.
+    Inside, the first store to a slot or element pushes (storage array,
+    index, old value) onto the journal and allocates nothing.
 
     Addresses are fictitious but behave like real ones: allocation bumps a
     pointer, property storage and array storage get their own regions, and
@@ -23,15 +26,46 @@ type limit =
   | Read_set_full  (** a load overflowed the hardware read footprint (RTM) *)
   | Io  (** observable I/O attempted inside the transaction (paper V-A) *)
 
-(** The transaction log of the open transaction. *)
+(** The per-transaction part of the log. *)
 type log = {
-  mutable undo : (unit -> unit) list;  (** newest first *)
   mutable reads : int;
   mutable writes : int;
   write_fp : Footprint.t;  (** recorded in every mode (Table IV) *)
   read_fp : Footprint.t option;  (** RTM only *)
   mutable hardware : bool;  (** enforce capacity, track reads; cleared by the STM upgrade *)
   on_limit : limit -> unit;  (** the HTM policy: abort, or upgrade to STM and return *)
+}
+
+(** The undo journal, newest entry last: entry [k] restores
+    [cells.(k).(idx.(k)) <- old.(k)].  Slot and element storage are both
+    [Value.t array], so one entry kind covers every ordinary store.  The
+    four rare mutations (shape transition, array growth, length change,
+    PRNG step) push a marker ([idx = -1]) and keep their undo closure in
+    [rare], newest first, so rollback still replays everything in one
+    newest-first pass.  Allocated once per heap, grown by doubling, never
+    shrunk; closing the log clears the used prefix so no journaled value
+    outlives its transaction.
+
+    Only the first store to a location in a transaction is journaled:
+    rollback needs just the pre-transaction value, and the old values of
+    later stores were written inside the transaction, so keeping them
+    would only carry young values across minor collections.  [written]
+    is the set of simulated addresses the open transaction has journaled,
+    open-addressed with linear probing: slot [k] holds address
+    [written.(2k)] if [written.(2k+1) = epoch], else it is free, so
+    closing the log empties the set by bumping [epoch].  Simulated
+    addresses are never reused, so within a transaction one address
+    names one storage cell. *)
+type journal = {
+  mutable cells : Value.t array array;
+  mutable idx : int array;
+  mutable old : Value.t array;
+  mutable n : int;
+  mutable rare : (unit -> unit) list;
+  mutable written : int array;
+  mutable written_shift : int;  (** [Sys.int_size - log2 (slots of written)] *)
+  mutable written_count : int;
+  mutable epoch : int;
 }
 
 (** Operations on the VM's attached shared segment (SharedArrayBuffer-style;
@@ -57,12 +91,16 @@ type t = {
   mutable next_sid : int;
   shapes : Shape.universe;
   mutable log : log option;  (** the open transaction's log *)
+  journal : journal;  (** the open transaction's undo entries *)
   prng : Nomap_util.Prng.t;  (** backs Math.random deterministically *)
   mutable bytes_allocated : int;
   mutable shared : (shared_op -> Value.t list -> Value.t) option;
       (** agent-runtime dispatch for [shared_op]; [None] until an agent
           attaches a segment (Agent.install) *)
 }
+
+let journal_capacity = 32
+let written_bits = 5
 
 let create ?(seed = 42) () =
   {
@@ -72,6 +110,18 @@ let create ?(seed = 42) () =
     next_sid = 0;
     shapes = Shape.create_universe ();
     log = None;
+    journal =
+      {
+        cells = Array.make journal_capacity [||];
+        idx = Array.make journal_capacity 0;
+        old = Array.make journal_capacity Value.Undef;
+        n = 0;
+        rare = [];
+        written = Array.make (2 lsl written_bits) 0;
+        written_shift = Sys.int_size - written_bits;
+        written_count = 0;
+        epoch = 1;
+      };
     prng = Nomap_util.Prng.create ~seed;
     bytes_allocated = 0;
     shared = None;
@@ -79,28 +129,129 @@ let create ?(seed = 42) () =
 
 let word_bytes = 8
 
+(* ------------------------------------------------------------------ *)
+(* The transaction log *)
+
+let grow_journal j =
+  let cap = 2 * Array.length j.idx in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 j.n;
+    b
+  in
+  j.cells <- extend j.cells [||];
+  j.idx <- extend j.idx 0;
+  j.old <- extend j.old Value.Undef
+
+let[@inline] journal_push j (cells : Value.t array) i old =
+  if j.n = Array.length j.idx then grow_journal j;
+  let n = j.n in
+  Array.unsafe_set j.cells n cells;
+  Array.unsafe_set j.idx n i;
+  Array.unsafe_set j.old n old;
+  j.n <- n + 1
+
+(* Fibonacci hashing: the top bits of [addr * golden] pick the slot. *)
+let golden = 0x278D_DE6E_5FD2_9F05
+
+(* [true] the first time [addr] is stored to in this transaction (and
+   records it); [false] after that.  Probes from slot [k]. *)
+let rec first_write_at j addr k =
+  let w = j.written in
+  if Array.unsafe_get w (2 * k + 1) <> j.epoch then begin
+    Array.unsafe_set w (2 * k) addr;
+    Array.unsafe_set w (2 * k + 1) j.epoch;
+    j.written_count <- j.written_count + 1;
+    if 4 * j.written_count >= Array.length w then grow_written j;
+    true
+  end
+  else if Array.unsafe_get w (2 * k) = addr then false
+  else first_write_at j addr ((k + 1) land ((Array.length w / 2) - 1))
+
+(* Double [written], re-recording the open transaction's addresses. *)
+and grow_written j =
+  let old = j.written in
+  j.written <- Array.make (2 * Array.length old) 0;
+  j.written_shift <- j.written_shift - 1;
+  j.written_count <- 0;
+  for k = 0 to (Array.length old / 2) - 1 do
+    if old.(2 * k + 1) = j.epoch then
+      let addr = old.(2 * k) in
+      ignore (first_write_at j addr ((addr * golden) lsr j.written_shift))
+  done
+
+(** Journal the current contents of [cells.(i)], at simulated address
+    [addr], before a store — unless this transaction already has. *)
+let[@inline] journal_old j (cells : Value.t array) i addr =
+  if first_write_at j addr ((addr * golden) lsr j.written_shift) then
+    journal_push j cells i cells.(i)
+
+(** Journal a rare mutation: a marker entry, with its undo in [rare]. *)
+let journal_rare j undo =
+  j.rare <- undo :: j.rare;
+  journal_push j [||] (-1) Value.Undef
+
+(** Close the open transaction's log.  [~rollback:true] first undoes every
+    journaled store, newest first.  Either way the journal's used prefix is
+    cleared, so it keeps no value alive past its transaction. *)
+let close_log t ~rollback =
+  t.log <- None;
+  let j = t.journal in
+  if rollback then
+    for k = j.n - 1 downto 0 do
+      let i = j.idx.(k) in
+      if i >= 0 then j.cells.(k).(i) <- j.old.(k)
+      else
+        match j.rare with
+        | undo :: rest ->
+          j.rare <- rest;
+          undo ()
+        | [] -> assert false
+    done;
+  Array.fill j.cells 0 j.n [||];
+  Array.fill j.old 0 j.n Value.Undef;
+  j.n <- 0;
+  j.written_count <- 0;
+  j.epoch <- j.epoch + 1;
+  j.rare <- []
+
+(** Install [log] as the open transaction's, discarding any journal left
+    by a transaction that was never closed. *)
+let open_log t log =
+  if t.journal.n > 0 then close_log t ~rollback:false;
+  t.log <- Some log
+
+(** [Footprint.touch], with the repeated-line case settled inline: a
+    single-line access to the footprint's last line changes nothing. *)
+let[@inline] fp_touch (fp : Footprint.t) addr bytes =
+  let line = addr lsr fp.Footprint.line_shift in
+  (line = fp.Footprint.last
+  && (addr + bytes - 1) lsr fp.Footprint.line_shift = line
+  && not fp.Footprint.overflowed)
+  || Footprint.touch fp ~addr ~bytes
+
 (** Journal a load: counted in every mode, footprint-tracked by RTM
     hardware only. *)
 let log_load l addr bytes =
   l.reads <- l.reads + 1;
   if l.hardware then
     match l.read_fp with
-    | Some fp -> if not (Footprint.touch fp ~addr ~bytes) then l.on_limit Read_set_full
+    | Some fp -> if not (fp_touch fp addr bytes) then l.on_limit Read_set_full
     | None -> ()
 
-(** Journal a store to [addr]; [undo] restores the old contents.  The write
-    footprint is recorded in every mode; only hardware enforces it. *)
-let log_store l addr bytes undo =
-  l.undo <- undo :: l.undo;
+(** Count a store to [addr].  The write footprint is recorded in every
+    mode; only hardware enforces it. *)
+let log_store l addr bytes =
   l.writes <- l.writes + 1;
-  if (not (Footprint.touch l.write_fp ~addr ~bytes)) && l.hardware then
-    l.on_limit Write_set_full
+  if (not (fp_touch l.write_fp addr bytes)) && l.hardware then l.on_limit Write_set_full
 
 let[@inline] note_load t addr bytes =
   match t.log with None -> () | Some l -> log_load l addr bytes
 
-let note_store t addr bytes undo =
-  match t.log with None -> () | Some l -> log_store l addr bytes undo
+(** Count a store the heap does not own (the agents' redo-buffered
+    segment traffic): no journal entry. *)
+let note_store t addr bytes =
+  match t.log with None -> () | Some l -> log_store l addr bytes
 
 (** Called before any observable I/O: inside a transaction the I/O is
     irrevocable, so the log's policy aborts. *)
@@ -153,8 +304,9 @@ let load_slot t (o : Value.obj) slot =
 let store_slot t (o : Value.obj) slot v =
   (match t.log with
   | Some l ->
-    let old = o.Value.slots.(slot) in
-    log_store l (slot_addr o slot) word_bytes (fun () -> o.Value.slots.(slot) <- old)
+    let addr = slot_addr o slot in
+    journal_old t.journal o.Value.slots slot addr;
+    log_store l addr word_bytes
   | None -> ());
   o.Value.slots.(slot) <- v
 
@@ -195,10 +347,11 @@ let transition_store t (o : Value.obj) new_shape slot v =
   | Some l ->
     let old_shape = o.Value.shape in
     let old_slots_addr = o.Value.slots_addr in
-    log_store l o.Value.oaddr word_bytes (fun () ->
+    journal_rare t.journal (fun () ->
         o.Value.shape <- old_shape;
         o.Value.slots <- old_slots;
-        o.Value.slots_addr <- old_slots_addr)
+        o.Value.slots_addr <- old_slots_addr);
+    log_store l o.Value.oaddr word_bytes
   | None -> ());
   o.Value.shape <- new_shape;
   o.Value.slots <- new_slots;
@@ -249,8 +402,9 @@ let store_elem t (a : Value.arr) i v =
   if i >= 0 && i < Array.length a.Value.elems then begin
     (match t.log with
     | Some l ->
-      let old = a.Value.elems.(i) in
-      log_store l (elem_addr a i) word_bytes (fun () -> a.Value.elems.(i) <- old)
+      let addr = elem_addr a i in
+      journal_old t.journal a.Value.elems i addr;
+      log_store l addr word_bytes
     | None -> ());
     a.Value.elems.(i) <- v
   end
@@ -264,9 +418,10 @@ let grow_array t (a : Value.arr) needed =
   (match t.log with
   | Some l ->
     let old_elems_addr = a.Value.elems_addr in
-    log_store l a.Value.aaddr word_bytes (fun () ->
+    journal_rare t.journal (fun () ->
         a.Value.elems <- old_elems;
-        a.Value.elems_addr <- old_elems_addr)
+        a.Value.elems_addr <- old_elems_addr);
+    log_store l a.Value.aaddr word_bytes
   | None -> ());
   a.Value.elems <- grown;
   a.Value.elems_addr <- grown_addr
@@ -275,7 +430,9 @@ let set_length t (a : Value.arr) len =
   let old_len = a.Value.alen in
   if len <> old_len then begin
     (match t.log with
-    | Some l -> log_store l a.Value.aaddr word_bytes (fun () -> a.Value.alen <- old_len)
+    | Some l ->
+      journal_rare t.journal (fun () -> a.Value.alen <- old_len);
+      log_store l a.Value.aaddr word_bytes
     | None -> ());
     a.Value.alen <- len
   end
@@ -322,7 +479,7 @@ let math_random t =
   (match t.log with
   | Some l ->
     let saved = Nomap_util.Prng.state t.prng in
-    log_store l 8 (* fixed pseudo-address for the PRNG cell *) 8 (fun () ->
-        Nomap_util.Prng.set_state t.prng saved)
+    journal_rare t.journal (fun () -> Nomap_util.Prng.set_state t.prng saved);
+    log_store l 8 (* fixed pseudo-address for the PRNG cell *) 8
   | None -> ());
   Nomap_util.Prng.float t.prng 1.0

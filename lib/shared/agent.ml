@@ -305,7 +305,7 @@ let op_class : Heap.shared_op -> op_class = function
     heap's transaction log through [Heap.note_load]/[note_store] (so
     in-transaction segment traffic counts against HTM capacity and STM
     access overheads exactly like private-heap traffic — synthetic segment
-    addresses, no-op undo since the redo buffer owns rollback), then
+    addresses, no journal entry since the redo buffer owns rollback), then
     execute under the registry lock.  [Fun.protect] releases the turn even
     when the operation aborts the transaction. *)
 let dispatch ag heap (op : Heap.shared_op) (args : Value.t list) : Value.t =
@@ -331,7 +331,7 @@ let dispatch ag heap (op : Heap.shared_op) (args : Value.t list) : Value.t =
           Value.int_ (with_lock reg (fun () -> read_idx ag idx))
         | Heap.Sh_write | Heap.Sh_store ->
           let v = Ops.wrap_int32 (Value.to_int32 (arg 1 args)) in
-          Heap.note_store heap addr Segment.word_bytes ignore;
+          Heap.note_store heap addr Segment.word_bytes;
           with_lock reg (fun () -> write_idx ag idx v);
           Value.int_ v
         | Heap.Sh_add | Heap.Sh_sub | Heap.Sh_exchange ->
@@ -343,14 +343,14 @@ let dispatch ag heap (op : Heap.shared_op) (args : Value.t list) : Value.t =
             | _ -> Ops.wrap_int32 operand
           in
           Heap.note_load heap addr Segment.word_bytes;
-          Heap.note_store heap addr Segment.word_bytes ignore;
+          Heap.note_store heap addr Segment.word_bytes;
           Value.int_ (with_lock reg (fun () -> rmw_idx ag idx f))
         | Heap.Sh_cas ->
           let expected = Value.to_int32 (arg 1 args) in
           let repl = Ops.wrap_int32 (Value.to_int32 (arg 2 args)) in
           let f old = if old = expected then repl else old in
           Heap.note_load heap addr Segment.word_bytes;
-          Heap.note_store heap addr Segment.word_bytes ignore;
+          Heap.note_store heap addr Segment.word_bytes;
           Value.int_ (with_lock reg (fun () -> rmw_idx ag idx f))
         | Heap.Sh_size | Heap.Sh_fence -> assert false)
     in

@@ -170,7 +170,7 @@ let test_htm_stm_fallback_commits () =
     (Value.to_js_string (Heap.get_elem heap arr 4999))
 
 (* A fallen-back transaction can still abort (a failed in-tx check raises
-   through the machine): the undo log spans the hardware prefix AND the
+   through the machine): the undo journal spans the hardware prefix AND the
    software suffix, so rollback must restore the pre-transaction heap
    exactly. *)
 let test_htm_stm_rollback_restores () =
@@ -192,25 +192,47 @@ let test_htm_stm_rollback_restores () =
     (Value.to_js_string (Heap.get_elem heap arr 4999))
 
 (* Small geometries so sets overflow: line count, maximum associativity and
-   the fit verdict must match a brute-force count of distinct lines per set. *)
+   the fit verdict must match a brute-force count of distinct lines per set.
+   Batches are long enough to grow the line table several times, repeat
+   accesses in runs (the [last]-line memo), and are separated by [clear].
+   Each batch also replays reversed right after its forward run, so its
+   first access hits the line the forward run touched last: [clear] must
+   forget the memo. *)
 let qcheck_footprint_line_count =
   QCheck2.Test.make ~name:"footprint counts distinct lines" ~count:200
     QCheck2.Gen.(
       triple (int_range 1 8) (int_range 1 4)
-        (list_size (int_range 1 100) (pair (int_range 0 100_000) (int_range 1 130))))
-    (fun (sets, ways, accesses) ->
+        (list_size (int_range 1 3)
+           (list_size (int_range 1 400)
+              (triple (int_range 0 100_000) (int_range 1 130) (int_range 1 4)))))
+    (fun (sets, ways, batches) ->
       let fp = Footprint.create ~sets ~ways ~line_bytes:64 in
-      List.iter (fun (addr, bytes) -> ignore (Footprint.touch fp ~addr ~bytes)) accesses;
-      let lines_of (a, b) =
-        List.init (((a + b - 1) / 64) - (a / 64) + 1) (fun k -> (a / 64) + k)
+      (* A run of [repeat] accesses creeping forward from [addr]. *)
+      let runs batch =
+        List.concat_map
+          (fun (addr, bytes, repeat) -> List.init repeat (fun k -> (addr + k, bytes)))
+          batch
       in
-      let distinct = List.sort_uniq compare (List.concat_map lines_of accesses) in
-      let per_set = Array.make sets 0 in
-      List.iter (fun line -> per_set.(line mod sets) <- per_set.(line mod sets) + 1) distinct;
-      let max_ways = Array.fold_left max 0 per_set in
-      Footprint.bytes fp = 64 * List.length distinct
-      && Footprint.max_ways fp = max_ways
-      && Footprint.fits fp = (max_ways <= ways))
+      List.for_all
+        (fun accesses ->
+          Footprint.clear fp;
+          List.iter (fun (addr, bytes) -> ignore (Footprint.touch fp ~addr ~bytes)) accesses;
+          let lines_of (a, b) =
+            List.init (((a + b - 1) / 64) - (a / 64) + 1) (fun k -> (a / 64) + k)
+          in
+          let distinct = List.sort_uniq compare (List.concat_map lines_of accesses) in
+          let per_set = Array.make sets 0 in
+          List.iter (fun line -> per_set.(line mod sets) <- per_set.(line mod sets) + 1) distinct;
+          let max_ways = Array.fold_left max 0 per_set in
+          Footprint.bytes fp = 64 * List.length distinct
+          && Footprint.max_ways fp = max_ways
+          && Footprint.fits fp = (max_ways <= ways))
+        (List.concat_map (fun batch -> [ runs batch; List.rev (runs batch) ]) batches))
+
+let test_footprint_rejects_odd_line_size () =
+  Alcotest.check_raises "48-byte lines"
+    (Invalid_argument "Footprint.create: line_bytes must be a power of two") (fun () ->
+      ignore (Footprint.create ~sets:4 ~ways:2 ~line_bytes:48))
 
 let qcheck_rollback_is_identity =
   QCheck2.Test.make ~name:"tx rollback restores arbitrary write sequences" ~count:100
@@ -233,7 +255,7 @@ let qcheck_rollback_is_identity =
    address and every speculative write — and leave pre-tx slot addresses
    untouched.  An object crosses [initial_slot_capacity] (4) inside the
    transaction, interleaved with transitions on a second object so the
-   journal mixes both objects' undo closures. *)
+   journal interleaves both objects' slot entries and transition markers. *)
 let test_slot_growth_under_tx () =
   let heap = Heap.create () in
   let a = Heap.alloc_object heap in
@@ -271,6 +293,161 @@ let test_slot_growth_under_tx () =
     (Value.to_js_string (Heap.get_prop heap a "p7"));
   Alcotest.(check int) "eight props" 8 a.Value.shape.Shape.prop_count
 
+(* The undo journal under every kind of mutation the heap journals: slot
+   stores, element stores (in range, out of range, elongating), array
+   growth, push/pop, shape transitions (with slot-table growth) and
+   Math.random, interleaved at random.  Rollback must restore the full heap
+   state: every value, shape, length, storage array and address, and the
+   PRNG.  Run once under ROT and once under an RTM transaction that a
+   store spray upgrades to STM part-way through. *)
+type journal_op =
+  | Prop of int * int * int  (** object, property, value: slot store or transition *)
+  | Elem of int * int * int  (** array, index, value: [set_elem], may grow *)
+  | Store_elem of int * int * int  (** the unchecked fast path, may be dropped *)
+  | Push of int * int
+  | Pop of int
+  | Random
+
+let journal_op_gen =
+  QCheck2.Gen.(
+    let v = int_range (-50) 50 in
+    oneof
+      [
+        map3 (fun o p x -> Prop (o, p, x)) (int_range 0 2) (int_range 0 7) v;
+        map3 (fun a i x -> Elem (a, i, x)) (int_range 0 1) (int_range 0 40) v;
+        map3 (fun a i x -> Store_elem (a, i, x)) (int_range 0 1) (int_range (-2) 12) v;
+        map2 (fun a x -> Push (a, x)) (int_range 0 1) v;
+        map (fun a -> Pop a) (int_range 0 1);
+        pure Random;
+      ])
+
+let qcheck_journal_rollback =
+  QCheck2.Test.make ~name:"journal rollback restores every mutation kind" ~count:100
+    QCheck2.Gen.(pair (list_size (int_range 1 60) journal_op_gen) (int_range 0 60))
+    (fun (ops, spray_at) ->
+      let run ~rtm =
+        let heap = Heap.create () in
+        let objs = Array.init 3 (fun _ -> Heap.alloc_object heap) in
+        let arrs = Array.init 2 (fun k -> Heap.alloc_array heap (3 + k)) in
+        let big = Heap.alloc_array heap 200 in
+        Array.iteri (fun k o -> Heap.set_prop heap o "p0" (Value.Int k)) objs;
+        Heap.set_elem heap arrs.(0) 1 (Value.Int 11);
+        ignore (Heap.math_random heap);
+        let show v = match v with Value.Hole -> "<hole>" | v -> Value.to_js_string v in
+        let state () =
+          ( Array.map
+              (fun (o : Value.obj) ->
+                (o.Value.shape.Shape.id, o.Value.slots_addr, Array.map show o.Value.slots))
+              objs,
+            Array.map
+              (fun (a : Value.arr) ->
+                (a.Value.alen, a.Value.elems_addr, Array.map show a.Value.elems))
+              arrs,
+            Nomap_util.Prng.state heap.Heap.prng )
+        in
+        let storage () =
+          Array.to_list (Array.map (fun (o : Value.obj) -> o.Value.slots) objs)
+          @ Array.to_list (Array.map (fun (a : Value.arr) -> a.Value.elems) arrs)
+        in
+        let before = state () and before_storage = storage () in
+        let tx =
+          if rtm then
+            Htm.begin_tx ~capacity_scale:64 ~stm_fallback:ignore heap ~mode:Htm.Rtm
+              ~snapshot:[] ~resume_pc:0 ~owner_frame:0
+          else Htm.begin_tx heap ~mode:Htm.Rot ~snapshot:[] ~resume_pc:0 ~owner_frame:0
+        in
+        List.iteri
+          (fun k op ->
+            if rtm && k = min spray_at (List.length ops - 1) then
+              for i = 0 to 199 do
+                Heap.set_elem heap big i (Value.Int i)
+              done;
+            match op with
+            | Prop (o, p, x) -> Heap.set_prop heap objs.(o) (Printf.sprintf "p%d" p) (Value.Int x)
+            | Elem (a, i, x) -> Heap.set_elem heap arrs.(a) i (Value.Int x)
+            | Store_elem (a, i, x) -> Heap.store_elem heap arrs.(a) i (Value.Int x)
+            | Push (a, x) -> ignore (Heap.array_push heap arrs.(a) (Value.Int x))
+            | Pop a -> ignore (Heap.array_pop heap arrs.(a))
+            | Random -> ignore (Heap.math_random heap))
+          ops;
+        let upgraded = tx.Htm.mode = Htm.Stm in
+        Htm.rollback tx;
+        (not rtm || upgraded)
+        && state () = before
+        && List.for_all2 ( == ) (storage ()) before_storage
+        && Array.for_all (fun v -> v = Value.Hole) big.Value.elems
+        && heap.Heap.journal.Heap.n = 0
+      in
+      run ~rtm:false && run ~rtm:true)
+
+(* The heap reuses one journal across transactions: rolling back the
+   second must not touch what the first committed, even after the second
+   grew the journal past its initial capacity and stored again to
+   locations the first had journaled. *)
+let test_journal_reuse () =
+  let heap = Heap.create () in
+  let arr = Heap.alloc_array heap 4 in
+  let obj = Heap.alloc_object heap in
+  let begin_rot () = Htm.begin_tx heap ~mode:Htm.Rot ~snapshot:[] ~resume_pc:0 ~owner_frame:0 in
+  let tx1 = begin_rot () in
+  Heap.set_elem heap arr 0 (Value.Int 1);
+  Heap.set_prop heap obj "x" (Value.Int 1);
+  ignore (Heap.array_push heap arr (Value.Int 5));
+  Htm.commit tx1;
+  let tx2 = begin_rot () in
+  Heap.set_prop heap obj "x" (Value.Int 2);
+  for i = 0 to 99 do
+    Heap.set_elem heap arr i (Value.Int (-i))
+  done;
+  Heap.set_prop heap obj "y" (Value.Int 2);
+  Alcotest.(check bool) "journal grew" true (heap.Heap.journal.Heap.n > 100);
+  (* [x] was journaled before the written-address set grew, [arr.(99)]
+     after: repeated stores to either add no entry. *)
+  let n = heap.Heap.journal.Heap.n in
+  for i = 0 to 9 do
+    Heap.set_prop heap obj "x" (Value.Int i);
+    Heap.store_elem heap arr 99 (Value.Int i)
+  done;
+  Alcotest.(check int) "a location is journaled once per transaction" n heap.Heap.journal.Heap.n;
+  Htm.rollback tx2;
+  Alcotest.(check string) "tx1 element kept" "1" (Value.to_js_string (Heap.get_elem heap arr 0));
+  Alcotest.(check string) "tx1 push kept" "5" (Value.to_js_string (Heap.get_elem heap arr 4));
+  Alcotest.(check int) "tx1 length kept" 5 arr.Value.alen;
+  Alcotest.(check string) "tx1 prop kept" "1" (Value.to_js_string (Heap.get_prop heap obj "x"));
+  Alcotest.(check string) "tx2 prop gone" "undefined"
+    (Value.to_js_string (Heap.get_prop heap obj "y"));
+  Alcotest.(check int) "journal empty" 0 heap.Heap.journal.Heap.n
+
+(* Closing the log must clear the journal: a value it holds only as an old
+   value is garbage once the transaction ends.  [v] sits in an array that
+   only the journal still references after this non-inlined function
+   returns (no stack slot of the caller keeps either alive); the store
+   inside the transaction journals both the array and [v]. *)
+let[@inline never] journal_only_old_value heap ~rollback =
+  let tmp = Heap.alloc_array heap 1 in
+  let v = Value.Str (Heap.alloc_string heap (String.make 64 'x')) in
+  Heap.store_elem heap tmp 0 v;
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some v);
+  let tx = Htm.begin_tx heap ~mode:Htm.Rot ~snapshot:[] ~resume_pc:0 ~owner_frame:0 in
+  Heap.store_elem heap tmp 0 (Value.Int 1);
+  if rollback then Htm.rollback tx else Htm.commit tx;
+  w
+
+let test_journal_releases_old_values () =
+  List.iter
+    (fun rollback ->
+      let heap = Heap.create () in
+      let w = journal_only_old_value heap ~rollback in
+      Gc.full_major ();
+      Alcotest.(check bool)
+        (if rollback then "collected after rollback" else "collected after commit")
+        true
+        (Option.is_none (Weak.get w 0));
+      (* Keeps the heap, and so its journal, reachable across the GC. *)
+      Alcotest.(check int) "journal empty" 0 heap.Heap.journal.Heap.n)
+    [ false; true ]
+
 let tests =
   [
     Alcotest.test_case "footprint counts lines" `Quick test_footprint_counts_lines;
@@ -287,6 +464,11 @@ let tests =
     Alcotest.test_case "htm stm fallback commits" `Quick test_htm_stm_fallback_commits;
     Alcotest.test_case "htm stm rollback restores" `Quick test_htm_stm_rollback_restores;
     Alcotest.test_case "slot growth under tx" `Quick test_slot_growth_under_tx;
+    Alcotest.test_case "footprint rejects odd line size" `Quick
+      test_footprint_rejects_odd_line_size;
+    Alcotest.test_case "journal reuse across transactions" `Quick test_journal_reuse;
+    Alcotest.test_case "journal releases old values" `Quick test_journal_releases_old_values;
     QCheck_alcotest.to_alcotest qcheck_footprint_line_count;
+    QCheck_alcotest.to_alcotest qcheck_journal_rollback;
     QCheck_alcotest.to_alcotest qcheck_rollback_is_identity;
   ]

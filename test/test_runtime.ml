@@ -120,11 +120,10 @@ let test_store_hook_undo () =
   let h = heap () in
   let a = Heap.alloc_array h 3 in
   Heap.set_elem h a 0 (Value.Int 1);
-  (* Install a transaction log, mutate, then undo: state must be restored. *)
+  (* Open a transaction log, mutate, then roll back: state must be restored. *)
   let log =
     {
-      Heap.undo = [];
-      reads = 0;
+      Heap.reads = 0;
       writes = 0;
       write_fp = Nomap_cache.Footprint.l2 ();
       read_fp = None;
@@ -132,14 +131,14 @@ let test_store_hook_undo () =
       on_limit = ignore;
     }
   in
-  h.Heap.log <- Some log;
+  Heap.open_log h log;
   Heap.set_elem h a 0 (Value.Int 42);
   Heap.set_elem h a 10 (Value.Int 7);
   let o = Heap.alloc_object h in
   Heap.set_prop h o "x" (Value.Int 5);
-  h.Heap.log <- None;
   Alcotest.(check string) "mutated" "42" (Value.to_js_string (Heap.get_elem h a 0));
-  List.iter (fun undo -> undo ()) log.Heap.undo;
+  Heap.close_log h ~rollback:true;
+  Alcotest.(check bool) "log closed" true (Option.is_none h.Heap.log);
   Alcotest.(check string) "elem restored" "1" (Value.to_js_string (Heap.get_elem h a 0));
   Alcotest.(check int) "length restored" 3 a.Value.alen;
   Alcotest.(check string) "prop restored" "undefined"
